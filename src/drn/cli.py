@@ -189,6 +189,8 @@ def cmd_table(args) -> int:
                   workers=args.workers)
     if args.which == "bipartite":
         smax = int(args.range)
+        if smax < 1:
+            raise InputError(f"bipartite table needs a max s >= 1, got {args.range}")
         entries = []
         for s in range(1, smax + 1):
             for r in range(1, s + 1):
@@ -215,6 +217,8 @@ def cmd_table(args) -> int:
     floor = {"cycles": 3, "paths": 2}[args.which]
     if lo < floor:
         raise InputError(f"{args.which} start at {floor}")
+    if hi < lo:
+        raise InputError(f"empty range {args.range}: it ends before it starts")
     entries = [(n, solve_drn(graph_from_spec_text(f"{fam}{n}"), **limits).drn)
                for n in range(lo, hi + 1)]
     if args.format == "json":
@@ -239,7 +243,7 @@ def cmd_survey(args) -> int:
         if not 1 <= args.order <= MAX_ENUM_ORDER:
             raise InputError(f"--order supports 1..{MAX_ENUM_ORDER}")
         graphs = nonisomorphic_graphs(args.order)
-        k = args.k if args.k else args.order
+        k = args.k if args.k is not None else args.order
         order = args.order
     else:
         graphs = read_graph6_lines(Path(args.corpus).read_text())
@@ -267,12 +271,25 @@ def cmd_survey(args) -> int:
     return EXIT_OK
 
 
+def _at_least(lo: int, convert=int):
+    """argparse type: ``convert(text)``, refused (exit 2) unless it is >= lo."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value >= lo:  # also refuses NaN
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return value
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", help="write the primary output to this path")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--time-limit-ms", type=float, default=DEFAULT_TIME_LIMIT_MS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--node-limit", type=_at_least(0), default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--time-limit-ms", type=_at_least(0, float), default=DEFAULT_TIME_LIMIT_MS)
+    p.add_argument("--workers", type=_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact representation number")
     p.add_argument("graph")
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=_at_least(1), default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_solve)
 
@@ -313,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="count non-representable graphs in a corpus")
     p.add_argument("corpus", nargs="?", help="graph6 lines file")
     p.add_argument("--order", type=int, help="use the built-in order-n corpus")
-    p.add_argument("--k", type=int, help="width (defaults to the order)")
+    p.add_argument("--k", type=_at_least(1), help="width (defaults to the order)")
     _add_common(p)
     p.set_defaults(fn=cmd_survey)
     return ap

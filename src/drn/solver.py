@@ -19,10 +19,19 @@ bitset candidate propagation, under two standard symmetry reductions:
   (fixed-point-free classes when adjacent, classes with a fixed point, minus
   the identity itself, when not).
 
-Refutations are exhaustive under exactly these two reductions.  Candidate
-sets are bitsets over lexicographic ranks for k <= 7 with a precomputed
-adjacency table; k = 8 tests the disagreement relation per candidate on the
-fly.  Widths above 8 are out of scope.
+Refutations are exhaustive under exactly these two reductions.
+
+One engine serves every width 1..8.  Candidate sets are bitsets over the
+lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
+For each position i and value v, the mask M[i][v] is the set of ranks q with
+q(i) = v; one pass over S_k in lexicographic order builds all k^2 of them.
+Two permutations fail to disagree everywhere exactly when they agree in some
+position, so q agrees with p iff q(i) = p(i) for some i, that is iff q lies
+in agree(p) = M[1][p(1)] | ... | M[k][p(k)].  Hence the Cayley neighbours of
+p are ``full ^ agree(p)``, and the other non-neighbours are ``agree(p)``
+without p itself.  Rows are computed on demand and memoised per search (at
+most 7! of them); no k! x k! table is built (at k = 8 it would take about
+200 MB).  Widths above 8 are out of scope.
 """
 
 from __future__ import annotations
@@ -43,10 +52,13 @@ from drn.perms import (
     disagree_everywhere,
     identity,
     is_derangement,
+    rank_perm,
+    unrank_perm,
 )
 
 WIDTH_CAP = 8
-BITSET_WIDTH_CAP = 7
+# At most 7! memoised agreement rows: every rank for k <= 7, about 25 MB at k = 8.
+AGREE_MEMO_CAP = 5040
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT_MS = 15 * 60 * 1000
 
@@ -89,21 +101,24 @@ class SurveyResult:
 
 
 @lru_cache(maxsize=None)
-def _tables(k: int) -> tuple[list[Perm], list[int], int]:
-    """(perms in rank order, Cayley adjacency bitset per rank, derangement mask) for k <= 7."""
-    perms = all_perms(k)
-    index = {p: r for r, p in enumerate(perms)}
-    ders = [p for p in perms if is_derangement(p)]
-    der_mask = 0
-    for d in ders:
-        der_mask |= 1 << index[d]
-    rows = []
-    for p in perms:
-        row = 0
-        for d in ders:
-            row |= 1 << index[tuple(p[x - 1] for x in d)]  # p o d
-        rows.append(row)
-    return perms, rows, der_mask
+def _masks(k: int) -> tuple[tuple[int, ...], ...]:
+    """M[i][v]: bitset of the ranks q with q(i) = v + 1 (0-based i and v)."""
+    nbytes = (factorial(k) + 7) // 8
+    bufs = [[bytearray(nbytes) for _ in range(k)] for _ in range(k)]
+    # itertools yields S_k in lexicographic order, so r is the rank of p
+    for r, p in enumerate(iter_permutations(range(k))):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for row, v in zip(bufs, p):
+            row[v][byte] |= bit
+    return tuple(tuple(int.from_bytes(b, "little") for b in row) for row in bufs)
+
+
+def _agreement(k: int, r: int) -> int:
+    """Bitset of the ranks that agree with rank r in some position, r included."""
+    m = 0
+    for row, x in zip(_masks(k), unrank_perm(r, k)):
+        m |= row[x - 1]
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -128,41 +143,40 @@ class _Budget:
         self.nodes = 0
 
     def spend(self) -> bool:
-        """Count one node; False once the budget is gone."""
+        """Count one node; False, counting nothing, once the budget is gone."""
+        if self.nodes >= self.node_limit:
+            return False
+        if self.nodes % 2048 == 2047 and time.monotonic() > self.deadline:
+            return False
         self.nodes += 1
-        if self.nodes > self.node_limit:
-            return False
-        if self.nodes % 2048 == 0 and time.monotonic() > self.deadline:
-            return False
         return True
 
 
-def _search_bitset(g: Graph, k: int, v2: int, v2_rep_ranks: list[int],
-                   budget: _Budget) -> tuple[str, dict[int, int] | None]:
-    """DFS with rank-bitset candidates (k <= 7). Returns (verdict, assignment)."""
-    perms, cayley, der_mask = _tables(k)
+def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
+            budget: _Budget) -> tuple[str, dict[int, Perm] | None]:
+    """DFS with rank-bitset candidates. Returns (verdict, assignment)."""
     full = (1 << factorial(k)) - 1
+    agree_memo: dict[int, int] = {}
+
+    def agree(r: int) -> int:
+        m = agree_memo.get(r)
+        if m is None:
+            m = _agreement(k, r)
+            if len(agree_memo) < AGREE_MEMO_CAP:
+                agree_memo[r] = m
+        return m
+
     order = _static_order(g)
-    v1 = order[0]
-    id_rank = 0  # identity is lexicographically first
-
-    assigned: dict[int, int] = {v1: id_rank}
-    cands: dict[int, int] = {}
-    for u in range(g.n):
-        if u == v1:
-            continue
-        if g.has_edge(u, v1):
-            cands[u] = der_mask
-        else:
-            cands[u] = (full ^ cayley[id_rank]) & ~(1 << id_rank)
-
     static_rank = {v: i for i, v in enumerate(order)}
+    v1 = order[0]
+    assigned: dict[int, int] = {v1: 0}  # the identity, rank 0
+    assigned_mask = 1 << v1
+    cands = {u: full for u in range(g.n) if u != v1}
 
     def pick_next() -> int:
         best_v, best_key = -1, (-1, 0)
         for u in cands:
-            cnt = sum(1 for w in assigned if g.has_edge(u, w))
-            key = (cnt, -static_rank[u])
+            key = ((g.adj[u] & assigned_mask).bit_count(), -static_rank[u])
             if key > best_key:
                 best_v, best_key = u, key
         return best_v
@@ -170,17 +184,21 @@ def _search_bitset(g: Graph, k: int, v2: int, v2_rep_ranks: list[int],
     def assign(u: int, r: int) -> dict[int, int]:
         """Prune candidate masks of the unassigned vertices; returns the saved masks."""
         saved = {}
-        row = cayley[r]
-        non = (full ^ row) & ~(1 << r)
+        non = agree(r)
+        row = full ^ non
+        non ^= 1 << r
+        adj_u = g.adj[u]
         for w in cands:
             saved[w] = cands[w]
-            cands[w] &= row if g.has_edge(u, w) else non
+            cands[w] &= row if (adj_u >> w) & 1 else non
         return saved
 
     def dfs(forced: int | None, rep_mask: int | None) -> str:
+        nonlocal assigned_mask
         u = pick_next() if forced is None else forced
         my_cands = cands.pop(u)
         bits = my_cands if rep_mask is None else my_cands & rep_mask
+        assigned_mask |= 1 << u
         while bits:
             low = bits & -bits
             r = low.bit_length() - 1
@@ -199,83 +217,18 @@ def _search_bitset(g: Graph, k: int, v2: int, v2_rep_ranks: list[int],
             for w, m in saved.items():
                 cands[w] = m
             del assigned[u]
+        assigned_mask ^= 1 << u
         cands[u] = my_cands
         return "no"
 
-    if not cands:
-        return "yes", dict(assigned)
+    assign(v1, 0)
     rep_mask = 0
-    for r in v2_rep_ranks:
-        rep_mask |= 1 << r
+    for p in v2_reps:
+        rep_mask |= 1 << rank_perm(p)
     verdict = dfs(v2, rep_mask)
-    return verdict, (dict(assigned) if verdict == "yes" else None)
-
-
-def _search_plain(g: Graph, k: int, v2: int, v2_reps: list[Perm],
-                  budget: _Budget) -> tuple[str, dict[int, Perm] | None]:
-    """Set-based DFS for k = 8 (no precomputed adjacency table)."""
-    order = _static_order(g)
-    v1 = order[0]
-    ident = identity(k)
-    assigned: dict[int, Perm] = {v1: ident}
-    static_rank = {v: i for i, v in enumerate(order)}
-
-    all_s = all_perms(k)
-    cands: dict[int, list[Perm]] = {}
-    for u in range(g.n):
-        if u == v1:
-            continue
-        if g.has_edge(u, v1):
-            cands[u] = [p for p in all_s if is_derangement(p)]
-        else:
-            cands[u] = [p for p in all_s if p != ident and not is_derangement(p)]
-
-    def pick_next() -> int:
-        best_v, best_key = -1, (-1, 0)
-        for u in cands:
-            cnt = sum(1 for w in assigned if g.has_edge(u, w))
-            key = (cnt, -static_rank[u])
-            if key > best_key:
-                best_v, best_key = u, key
-        return best_v
-
-    def dfs(forced: int | None, first_reps: list[Perm] | None) -> str:
-        u = pick_next() if forced is None else forced
-        my = cands.pop(u)
-        if first_reps is not None:
-            keep = set(first_reps)
-            pool = [p for p in my if p in keep]
-        else:
-            pool = my
-        for p in pool:
-            if not budget.spend():
-                cands[u] = my
-                return "unknown"
-            assigned[u] = p
-            saved = {}
-            ok = True
-            for w, lst in cands.items():
-                want = g.has_edge(u, w)
-                saved[w] = lst
-                cands[w] = [q for q in lst if disagree_everywhere(q, p) == want and q != p]
-                if not cands[w]:
-                    ok = False
-            if ok:
-                if not cands:
-                    return "yes"
-                sub = dfs(None, None)
-                if sub != "no":
-                    return sub
-            for w, lst in saved.items():
-                cands[w] = lst
-            del assigned[u]
-        cands[u] = my
-        return "no"
-
-    if not cands:
-        return "yes", dict(assigned)
-    verdict = dfs(v2, v2_reps)
-    return verdict, (dict(assigned) if verdict == "yes" else None)
+    if verdict != "yes":
+        return verdict, None
+    return verdict, {v: unrank_perm(r, k) for v, r in assigned.items()}
 
 
 def _reps_for_second_vertex(g: Graph, k: int) -> tuple[int, list[Perm]]:
@@ -295,7 +248,7 @@ def _reps_for_second_vertex(g: Graph, k: int) -> tuple[int, list[Perm]]:
     return v2, reps
 
 
-def _assignment_to_matrix(g: Graph, k: int, assigned_perms: dict[int, Perm]) -> RepresentationMatrix:
+def _assignment_to_matrix(g: Graph, assigned_perms: dict[int, Perm]) -> RepresentationMatrix:
     return RepresentationMatrix(tuple(assigned_perms[v] for v in range(g.n)))
 
 
@@ -303,17 +256,8 @@ def _run_search(g: Graph, k: int, v2: int, rep_subset: list[Perm],
                 budget_args: tuple[int, float]):
     """Worker entry: search with the second processed vertex restricted to rep_subset."""
     budget = _Budget(*budget_args)
-    if k <= BITSET_WIDTH_CAP:
-        perms, _, _ = _tables(k)
-        index = {p: r for r, p in enumerate(perms)}
-        verdict, assignment = _search_bitset(g, k, v2, [index[p] for p in rep_subset], budget)
-        if assignment is not None:
-            assignment_perms = {v: perms[r] for v, r in assignment.items()}
-        else:
-            assignment_perms = None
-    else:
-        verdict, assignment_perms = _search_plain(g, k, v2, rep_subset, budget)
-    return verdict, assignment_perms, budget.nodes
+    verdict, assignment = _search(g, k, v2, rep_subset, budget)
+    return verdict, assignment, budget.nodes
 
 
 def is_k_representable(
@@ -368,7 +312,7 @@ def is_k_representable(
     witnesses = []
     for verdict, assignment, _ in results:
         if verdict == "yes":
-            m = _assignment_to_matrix(g, k, assignment)
+            m = _assignment_to_matrix(g, assignment)
             rep = verify(g, m)
             if not rep.valid:  # soundness guard; must never happen
                 raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")

@@ -138,8 +138,12 @@ def test_table_bipartite(capsys):
 
 
 def test_table_bad_range_exit_2(capsys):
-    code, _, _ = run(capsys, "table", "cycles", "1..5")
-    assert code == 2
+    for argv, message in ((("table", "cycles", "1..5"), "start at 3"),
+                          (("table", "cycles", "12..3"), "ends before it starts"),
+                          (("table", "paths", "6..2"), "ends before it starts"),
+                          (("table", "bipartite", "0"), "max s >= 1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == "", argv
 
 
 def test_survey_order(capsys):
@@ -171,6 +175,17 @@ def test_survey_input_validation(capsys):
     assert code == 2
     code, _, _ = run(capsys, "survey")
     assert code == 2
+    # each rejected by argparse before any search runs
+    for argv, message in ((("survey", "--order", "3", "--k", "0"), "--k: must be >= 1"),
+                          (("solve", "C5", "--workers", "-3"), "--workers: must be >= 1"),
+                          (("solve", "C5", "--workers", "0"), "--workers: must be >= 1"),
+                          (("solve", "C5", "--time-limit-ms", "-5"), "--time-limit-ms: must be >= 0"),
+                          (("solve", "C5", "--time-limit-ms", "nan"), "--time-limit-ms: must be >= 0"),
+                          (("solve", "C5", "--node-limit", "-1"), "--node-limit: must be >= 0"),
+                          (("solve", "C5", "--node-limit", "ten"), "--node-limit: not a number"),
+                          (("solve", "C5", "--max-k", "0"), "--max-k: must be >= 1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == "", argv
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,12 +1,16 @@
 import random
+from math import factorial
 
 import pytest
 
 from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
 from drn.matrices import verify
+from drn.perms import all_perms, disagree_everywhere, rank_perm, unrank_perm
 from drn.solver import (
     BudgetExhaustedError,
     WidthCapError,
+    _agreement,
+    _masks,
     brute_force_oracle,
     is_k_representable,
     solve_drn,
@@ -33,6 +37,55 @@ def test_injectivity_cutoff():
     # more vertices than permutations: immediately impossible
     verdict, _, stats = is_k_representable(G("E4"), 2)
     assert verdict == "no" and stats.nodes == 0
+
+
+def _cayley_row_reference(perms, r):
+    """Ranks of the permutations that disagree everywhere with rank r."""
+    p = unrank_perm(r, len(perms[0]))
+    return int("".join("1" if disagree_everywhere(q, p) else "0" for q in reversed(perms)), 2)
+
+
+def test_masks_partition_each_position():
+    for k in range(1, 9):
+        full = (1 << factorial(k)) - 1
+        for row in _masks(k):
+            assert len(row) == k
+            assert all(m.bit_count() == factorial(k - 1) for m in row)
+            union = 0
+            for m in row:
+                union |= m
+            assert union == full
+
+
+def test_agreement_masks_match_disagreement_relation():
+    for k in range(1, 6):
+        perms, full = all_perms(k), (1 << factorial(k)) - 1
+        for r in range(factorial(k)):
+            assert full ^ _agreement(k, r) == _cayley_row_reference(perms, r), (k, r)
+    # k = 8: the cyclic shifts between them use every mask M[i][v]
+    perms, full = all_perms(8), (1 << factorial(8)) - 1
+    shifts = [tuple((i + j) % 8 + 1 for i in range(8)) for j in range(8)]
+    sample = [rank_perm(p) for p in shifts] + random.Random(8).sample(range(factorial(8)), 4)
+    for r in sample:
+        assert full ^ _agreement(8, r) == _cayley_row_reference(perms, r), r
+
+
+@pytest.mark.parametrize("spec,k,nodes", [
+    ("C16", 5, 47548),
+    ("C16", 7, 16),
+    ("C16", 8, 15),
+    ("K4,6", 8, 9),
+])
+def test_wide_decisions_and_node_counts(spec, k, nodes):
+    verdict, witness, stats = is_k_representable(G(spec), k)
+    assert verdict == "yes" and witness.k == k and verify(G(spec), witness).valid
+    assert stats.nodes == nodes
+
+
+@pytest.mark.slow
+def test_c15_width5_refutation_node_count():
+    verdict, witness, stats = is_k_representable(G("C15"), 5)
+    assert verdict == "no" and witness is None and stats.nodes == 1874916
 
 
 def test_width_cap():
@@ -122,8 +175,10 @@ def test_determinism_and_worker_equivalence():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExhaustedError):
         solve_drn(G("K3,3"), node_limit=3)
-    verdict, _, _ = is_k_representable(G("K3,3"), 4, node_limit=3)
-    assert verdict == "unknown"
+    verdict, _, stats = is_k_representable(G("K3,3"), 4, node_limit=3)
+    assert verdict == "unknown" and stats.nodes == 3
+    verdict, witness, stats = is_k_representable(G("C16"), 8, node_limit=3)
+    assert verdict == "unknown" and witness is None and stats.nodes == 3
 
 
 def test_max_k_stops_early():
