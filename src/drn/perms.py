@@ -160,20 +160,24 @@ def conjugate(t: Perm, a: Perm) -> Perm:
     return compose(inverse(t), compose(a, t))
 
 
-def cycle_type(a: Perm) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order; conjugacy class invariant."""
-    seen = [False] * len(a)
-    lengths = []
-    for i in range(len(a)):
+def cycles(a: Perm) -> list[list[int]]:
+    """The cycles of ``a``, each listed from its least point, in order of that point.
+
+    >>> cycles((2, 1, 3))
+    [[1, 2], [3]]
+    """
+    seen = [False] * (len(a) + 1)
+    out = []
+    for i in range(1, len(a) + 1):
         if seen[i]:
             continue
-        n, j = 0, i
+        cyc, j = [], i
         while not seen[j]:
             seen[j] = True
-            j = a[j] - 1
-            n += 1
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
+            cyc.append(j)
+            j = a[j - 1]
+        out.append(cyc)
+    return out
 
 
 def perm_to_text(a: Perm) -> str:

@@ -4,7 +4,7 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under two standard symmetry reductions:
+bitset candidate propagation, under three symmetry reductions:
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
@@ -18,8 +18,33 @@ bitset candidate propagation, under two standard symmetry reductions:
   only classes consistent with its adjacency to the first vertex apply
   (fixed-point-free classes when adjacent, classes with a fixed point, minus
   the identity itself, when not).
+* orbits under the stabiliser of the images so far.  Let H be the maps
+  sigma -> a o sigma o a^-1 and sigma -> a o sigma^-1 o a^-1 for a in S_k.
+  Each fixes the identity and preserves cellwise disagreement: conjugation
+  as above, and inversion because sigma and tau disagree everywhere iff
+  sigma^-1 o tau is a derangement, while sigma^-1 and tau^-1 disagree
+  everywhere iff sigma o tau^-1 is one, and sigma o tau^-1 is conjugate (by
+  sigma) to tau^-1 o sigma = (sigma^-1 o tau)^-1, which has the same fixed
+  points as sigma^-1 o tau.  So every h in H is an automorphism of the Cayley
+  graph: it maps neighbours to neighbours, non-neighbours to non-neighbours
+  and distinct images to distinct images.  With the identity on v1 and rho on
+  v2, let G_2 = {h in H : h(rho) = rho}, and let G_d be the elements of
+  G_d-1 that also fix the image r_d of the d-th processed vertex.  An element
+  g of G_d-1 fixes every image assigned so far, so it maps the neighbours
+  (and the other non-neighbours) of each assigned image onto themselves; the
+  candidate set of every unassigned vertex, being an intersection of these,
+  is mapped onto itself too.  Hence if the d-th vertex u admits no
+  completion with u = r, it admits none with u = g(r) either: g^-1 would map
+  such a completion to one with u = r, keeping the assigned images.  So when
+  u = r fails (its propagation empties a candidate set, or its subtree
+  returns "no"), the whole orbit {g(r) : g in G_d-1} is dropped from u's
+  remaining candidates.  Only subtrees that would have failed are skipped,
+  so every verdict and every witness is the one the unpruned search finds;
+  only the node counts fall.  G_2 is built from rho's cycles, and each G_d
+  only when a subtree at that depth first fails, so a search in which
+  nothing fails does no group work.
 
-Refutations are exhaustive under exactly these two reductions.
+Refutations are exhaustive under exactly these three reductions.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -41,6 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from itertools import product
 from math import factorial
 
 from drn.graphs import Graph, graph6_encode
@@ -48,9 +74,10 @@ from drn.matrices import RepresentationMatrix, verify
 from drn.perms import (
     Perm,
     all_perms,
-    cycle_type,
+    cycles,
     disagree_everywhere,
     identity,
+    inverse,
     is_derangement,
     rank_perm,
     unrank_perm,
@@ -121,15 +148,118 @@ def _agreement(k: int, r: int) -> int:
     return m
 
 
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k into parts of at most ``largest``, parts descending."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
 @lru_cache(maxsize=None)
 def _class_representatives(k: int) -> list[Perm]:
-    """Lexicographically least element of every conjugacy class of S_k."""
-    best: dict[tuple[int, ...], Perm] = {}
-    for p in all_perms(k):
-        t = cycle_type(p)
-        if t not in best or p < best[t]:
-            best[t] = p
-    return sorted(best.values())
+    """Lexicographically least element of every conjugacy class of S_k.
+
+    For each cycle type: the fixed points first, then the cycles by ascending
+    length, each on a block of consecutive points i -> i+1 -> ... -> i+l-1
+    -> i.  This is the greedy choice of the least value at each position in
+    turn: a point is fixed while fixed points remain; after that the least
+    free value at the first point i of a cycle is i+1, and at each later point
+    closing the cycle (value i) beats continuing it (a larger value) as soon
+    as a cycle of the current length remains.
+    """
+    reps = []
+    for parts in _partitions(k):
+        p, start = [], 1
+        for length in reversed(parts):
+            p.extend(range(start + 1, start + length))
+            p.append(start)
+            start += length
+        reps.append(tuple(p))
+    return sorted(reps)
+
+
+# The orbit rule -----------------------------------------------------------
+#
+# An element of H is stored as (a, a_inv, inverted): a as a tuple with
+# a[x] = a(x) for 1-based x (a[0] unused), a_inv with a_inv[j] = a^-1(j+1) - 1,
+# and whether sigma is inverted first.  It maps sigma to a o sigma o a^-1, or
+# to a o sigma^-1 o a^-1 when inverted.
+
+def _element(a: list[int], inverted: bool) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    a_inv = [0] * (len(a) - 1)
+    for x in range(1, len(a)):
+        a_inv[a[x] - 1] = x - 1
+    return tuple(a), tuple(a_inv), inverted
+
+
+def _images(group, p: Perm):
+    """The image of p under each element of the group, in order."""
+    p_inv = inverse(p)
+    for a, a_inv, inverted in group:
+        q = p_inv if inverted else p
+        yield tuple(map(a.__getitem__, map(q.__getitem__, a_inv)))
+
+
+class _Stabiliser:
+    """The elements of H that fix the images assigned down to one vertex,
+    built on first use: G_2 from the class representative's cycles when there
+    is no parent, otherwise the parent's elements that also fix this rank."""
+
+    __slots__ = ("parent", "rank", "k", "group")
+
+    def __init__(self, parent: _Stabiliser | None, rank: int, k: int):
+        self.parent, self.rank, self.k, self.group = parent, rank, k, None
+
+    def elements(self):
+        if self.group is None:
+            if self.parent is None:
+                self.group = _representative_stabiliser(unrank_perm(self.rank, self.k))
+            else:
+                group = self.parent.elements()
+                if len(group) > 1:  # more than the identity alone
+                    p = unrank_perm(self.rank, self.k)
+                    group = [h for h, q in zip(group, _images(group, p)) if q == p]
+                self.group = group
+        return self.group
+
+
+@lru_cache(maxsize=None)
+def _representative_stabiliser(rho: Perm) -> tuple:
+    """G_2 = {h in H : h(rho) = rho}, built from rho's cycles (never by scanning S_k).
+
+    The centraliser C(rho) maps each cycle (x_0 ... x_l-1) onto a cycle
+    (y_0 ... y_l-1) of the same length by x_i -> y_i+s: it permutes the
+    cycles of each length and rotates each.  The reflection a0 : x_i -> x_-i
+    satisfies a0 o rho^-1 o a0^-1 = rho, so the inversion-type elements
+    fixing rho are sigma -> a o sigma^-1 o a^-1 with a = c o a0, c in C(rho).
+    """
+    k = len(rho)
+    cycs = cycles(rho)
+    by_length: dict[int, list[list[int]]] = {}
+    for cyc in cycs:
+        by_length.setdefault(len(cyc), []).append(cyc)
+    blocks = [
+        [[(x[i], y[(i + s) % length]) for x, y, s in zip(same, images, shifts) for i in range(length)]
+         for images in iter_permutations(same)
+         for shifts in product(range(length), repeat=len(same))]
+        for length, same in by_length.items()
+    ]
+    reflect = [0] * (k + 1)
+    for cyc in cycs:
+        for i, x in enumerate(cyc):
+            reflect[x] = cyc[-i]
+    group = []
+    for pieces in product(*blocks):
+        c = [0] * (k + 1)
+        for piece in pieces:
+            for x, y in piece:
+                c[x] = y
+        group.append(_element(c, False))
+        group.append(_element([c[x] for x in reflect], True))
+    return tuple(group)
 
 
 def _static_order(g: Graph) -> list[int]:
@@ -193,7 +323,10 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
             cands[w] &= row if (adj_u >> w) & 1 else non
         return saved
 
-    def dfs(forced: int | None, rep_mask: int | None) -> str:
+    def dfs(forced: int | None, rep_mask: int | None, stab: _Stabiliser | None) -> str:
+        """Assign the next vertex.  stab holds the group fixing every image
+        assigned so far (None at the second vertex, whose candidates are
+        already one per class)."""
         nonlocal assigned_mask
         u = pick_next() if forced is None else forced
         my_cands = cands.pop(u)
@@ -211,12 +344,18 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
             if all(cands[w] for w in cands):
                 if not cands:
                     return "yes"
-                sub = dfs(None, None)
+                sub = dfs(None, None, _Stabiliser(stab, r, k))
                 if sub != "no":
                     return sub
             for w, m in saved.items():
                 cands[w] = m
             del assigned[u]
+            if stab is not None and bits:  # the orbit rule: u = g(r) fails too
+                group = stab.elements()
+                if len(group) > 1:
+                    p = unrank_perm(r, k)
+                    for q in set(_images(group, p)):
+                        bits &= ~(1 << rank_perm(q))
         assigned_mask ^= 1 << u
         cands[u] = my_cands
         return "no"
@@ -225,7 +364,7 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
     rep_mask = 0
     for p in v2_reps:
         rep_mask |= 1 << rank_perm(p)
-    verdict = dfs(v2, rep_mask)
+    verdict = dfs(v2, rep_mask, None)
     if verdict != "yes":
         return verdict, None
     return verdict, {v: unrank_perm(r, k) for v, r in assigned.items()}
@@ -270,9 +409,10 @@ def is_k_representable(
     """Decide width-k representability: ("yes", witness), ("no", None) or
     ("unknown", None) when the budget ran out.
 
-    A "no" is an exhaustive refutation under the two symmetry reductions in
+    A "no" is an exhaustive refutation under the three symmetry reductions in
     the module docstring.  Workers split the second vertex's class
-    representatives; refutation requires every worker to exhaust its share.
+    representatives and the node limit; refutation requires every worker to
+    exhaust its share.
     """
     if k < 1:
         raise ValueError("width must be >= 1")
@@ -296,16 +436,16 @@ def is_k_representable(
     if not reps:
         return done("no", None, 0)
 
-    budget_args = (node_limit, time_limit_ms)
     shares = [reps[i::workers] for i in range(workers)] if workers > 1 else [reps]
     shares = [s for s in shares if s]
-
-    results = []
-    if len(shares) == 1:
-        results.append(_run_search(g, k, v2, shares[0], budget_args))
+    # the shares split the node limit, so together they never exceed it
+    n = len(shares)
+    budgets = [(node_limit // n + (i < node_limit % n), time_limit_ms) for i in range(n)]
+    if n == 1:
+        results = [_run_search(g, k, v2, shares[0], budgets[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            futs = [pool.submit(_run_search, g, k, v2, s, budget_args) for s in shares]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            futs = [pool.submit(_run_search, g, k, v2, s, b) for s, b in zip(shares, budgets)]
             results = [f.result() for f in futs]
 
     total_nodes = sum(r[2] for r in results)

@@ -7,6 +7,7 @@ from drn.perms import (
     all_perms,
     compose,
     conjugate,
+    cycles,
     derangement_count,
     disagree_everywhere,
     enumerate_derangements,
@@ -124,6 +125,19 @@ def test_derangements_closed_under_inverse_and_conjugation():
         t = tuple(rng.sample(range(1, k + 1), k))
         assert is_derangement(inverse(d))
         assert is_derangement(conjugate(t, d))
+
+
+def test_cycles_rebuild_the_permutation():
+    assert cycles((2, 1, 3)) == [[1, 2], [3]]
+    assert cycles((3, 1, 2, 5, 4)) == [[1, 3, 2], [4, 5]]
+    for p in all_perms(5):
+        cyc = cycles(p)
+        assert [c[0] for c in cyc] == sorted(min(c) for c in cyc)
+        rebuilt = [0] * 5
+        for c in cyc:
+            for i, x in enumerate(c):
+                rebuilt[x - 1] = c[(i + 1) % len(c)]
+        assert tuple(rebuilt) == p
 
 
 def test_text_round_trip():

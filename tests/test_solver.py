@@ -3,14 +3,26 @@ from math import factorial
 
 import pytest
 
+from drn import solver
 from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
 from drn.matrices import verify
-from drn.perms import all_perms, disagree_everywhere, rank_perm, unrank_perm
+from drn.perms import (
+    all_perms,
+    compose,
+    cycles,
+    disagree_everywhere,
+    inverse,
+    rank_perm,
+    unrank_perm,
+)
 from drn.solver import (
     BudgetExhaustedError,
     WidthCapError,
     _agreement,
+    _class_representatives,
+    _images,
     _masks,
+    _representative_stabiliser,
     brute_force_oracle,
     is_k_representable,
     solve_drn,
@@ -71,7 +83,7 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 47548),
+    ("C16", 5, 9846),
     ("C16", 7, 16),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
@@ -85,7 +97,113 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 1874916
+    assert verdict == "no" and witness is None and stats.nodes == 172701
+
+
+def test_class_representatives_are_least_in_their_class():
+    for k in range(1, 9):
+        least = {}
+        for p in all_perms(k):
+            t = tuple(sorted(map(len, cycles(p))))
+            least.setdefault(t, p)  # all_perms is in lexicographic order
+        assert _class_representatives(k) == sorted(least.values()), k
+
+
+def test_representative_stabiliser_is_the_stabiliser_in_h():
+    # G_2 = {h in H : h(rho) = rho}, against a scan of S_k, as (a, inverted) pairs
+    for k in range(1, 6):
+        for rho in _class_representatives(k):
+            rho_inv = inverse(rho)
+            expected = set()
+            for a in all_perms(k):
+                for inverted, q in ((False, rho), (True, rho_inv)):
+                    if compose(a, compose(q, inverse(a))) == rho:
+                        expected.add((a, inverted))
+            group = _representative_stabiliser(rho)
+            got = [(a[1:], inverted) for a, _, inverted in group]
+            assert len(got) == len(set(got)) and set(got) == expected, rho
+            assert all(q == rho for q in _images(group, rho))
+
+
+def test_stabiliser_acts_as_automorphisms():
+    # the sampled elements of G_2 preserve cellwise disagreement and its negation
+    rng = random.Random(5)
+    for k in (4, 5, 8):
+        for rho in rng.sample(_class_representatives(k)[1:], 3):
+            group = rng.sample(_representative_stabiliser(rho), 6) if k == 8 else _representative_stabiliser(rho)
+            sample = [unrank_perm(r, k) for r in rng.sample(range(factorial(k)), 12)]
+            images = [list(_images(group, p)) for p in sample]
+            for i in range(len(sample)):
+                for j in range(i + 1, len(sample)):
+                    rel = disagree_everywhere(sample[i], sample[j])
+                    assert all(disagree_everywhere(x, y) == rel for x, y in zip(images[i], images[j]))
+
+
+def _unreduced_search(g, k):
+    """Reference decision: bitset DFS over vertices 0..n-1 on solver._masks,
+    with no pinning, no class representatives and no orbit pruning."""
+    full = (1 << factorial(k)) - 1
+
+    def agreeing(r):
+        m = 0
+        for row, x in zip(_masks(k), unrank_perm(r, k)):
+            m |= row[x - 1]
+        return m
+
+    def dfs(v, cands):
+        if v == g.n:
+            return True
+        bits = cands[v]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            non = agreeing(low.bit_length() - 1)
+            row, non = full ^ non, non ^ low
+            nxt = cands[:v + 1] + [c & (row if g.has_edge(v, w) else non)
+                                   for w, c in enumerate(cands[v + 1:], v + 1)]
+            if all(nxt[v + 1:]) and dfs(v + 1, nxt):
+                return True
+        return False
+
+    return dfs(0, [full] * g.n)
+
+
+def test_differential_against_unreduced_search():
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for k in range(1, 6):
+                assert (is_k_representable(g, k)[0] == "yes") == _unreduced_search(g, k), (g, k)
+
+
+def test_orbit_pruning_keeps_every_verdict_and_witness(monkeypatch):
+    # the orbit rule only skips failing subtrees: against the same search with
+    # trivial stabilisers, the verdict and the witness are identical
+    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
+    cases += [(G(f"C{n}"), k) for n in range(7, 15) for k in (4, 5)] + [(G("K3,3"), 4)]
+    pruned = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "_representative_stabiliser",
+                        lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
+    fewer = 0
+    for (g, k), (verdict, witness, stats) in zip(cases, pruned):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes
+        fewer += stats.nodes < plain_stats.nodes
+    assert fewer >= 10
+
+
+def test_differential_order_six_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    slots = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, (1 << len(slots)) - 1), st.integers(1, 4))
+    def check(mask, k):
+        g = Graph.from_edges(6, [e for b, e in enumerate(slots) if mask >> b & 1])
+        assert (is_k_representable(g, k)[0] == "yes") == _unreduced_search(g, k)
+
+    check()
 
 
 def test_width_cap():
@@ -179,6 +297,9 @@ def test_budget_exhaustion_raises():
     assert verdict == "unknown" and stats.nodes == 3
     verdict, witness, stats = is_k_representable(G("C16"), 8, node_limit=3)
     assert verdict == "unknown" and witness is None and stats.nodes == 3
+    # the workers' shares split the node limit
+    verdict, _, stats = is_k_representable(G("K3,3"), 4, node_limit=3, workers=2)
+    assert verdict == "unknown" and stats.nodes <= 3
 
 
 def test_max_k_stops_early():
