@@ -157,7 +157,7 @@ def _solve_payload(spec: str, res) -> dict:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     res = solve_drn(g, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms,
-                    workers=args.workers, max_k=args.max_k)
+                    max_k=args.max_k)
     if args.format == "json":
         _emit(json.dumps(_solve_payload(args.graph, res), indent=2), args.out)
     elif args.format == "csv":
@@ -185,8 +185,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_table(args) -> int:
-    limits = dict(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms,
-                  workers=args.workers)
+    limits = dict(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
     if args.which == "bipartite":
         smax = int(args.range)
         if smax < 1:
@@ -252,7 +251,7 @@ def cmd_survey(args) -> int:
         k = args.k
         order = None
     res = survey(graphs, k, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms,
-                 workers=args.workers, order=order)
+                 order=order)
     if args.format == "json":
         _emit(json.dumps({
             "order": res.order, "width": k, "total": res.total,
@@ -289,7 +288,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the primary output to this path")
     p.add_argument("--node-limit", type=_at_least(0), default=DEFAULT_NODE_LIMIT)
     p.add_argument("--time-limit-ms", type=_at_least(0, float), default=DEFAULT_TIME_LIMIT_MS)
-    p.add_argument("--workers", type=_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 
 Permutations are plain tuples of 1-based images in one-line form: ``(2, 3, 1)``
 is the map 1->2, 2->3, 3->1.  All values are immutable and all operations are
-pure, so they can be shared freely across workers.
+pure.
 
 Enumeration and ranking APIs are capped at degree 12: dense rank indices are
 used as bitset positions elsewhere, and 12! already exceeds any sensible
@@ -178,19 +178,3 @@ def cycles(a: Perm) -> list[list[int]]:
             j = a[j - 1]
         out.append(cyc)
     return out
-
-
-def perm_to_text(a: Perm) -> str:
-    """Render in the conventional parenthesized one-line form, e.g. "(3,4,1,2)"."""
-    return "(" + ",".join(str(x) for x in a) + ")"
-
-
-def perm_from_text(text: str) -> Perm:
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    try:
-        images = [int(t) for t in s.split(",")]
-    except ValueError as e:
-        raise ValueError(f"cannot parse permutation from {text!r}") from e
-    return check_perm(images)

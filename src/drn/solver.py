@@ -62,7 +62,6 @@ most 7! of them); no k! x k! table is built (at k = 8 it would take about
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -78,7 +77,6 @@ from drn.perms import (
     disagree_everywhere,
     identity,
     inverse,
-    is_derangement,
     rank_perm,
     unrank_perm,
 )
@@ -267,6 +265,9 @@ def _static_order(g: Graph) -> list[int]:
 
 
 class _Budget:
+    """Node and time limits.  The clock is read before the first node and then
+    every 2048 nodes, so a zero time limit searches nothing."""
+
     def __init__(self, node_limit: int, time_limit_ms: float):
         self.node_limit = node_limit
         self.deadline = time.monotonic() + time_limit_ms / 1000.0
@@ -276,15 +277,15 @@ class _Budget:
         """Count one node; False, counting nothing, once the budget is gone."""
         if self.nodes >= self.node_limit:
             return False
-        if self.nodes % 2048 == 2047 and time.monotonic() > self.deadline:
+        if self.nodes % 2048 == 0 and time.monotonic() >= self.deadline:
             return False
         self.nodes += 1
         return True
 
 
-def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
-            budget: _Budget) -> tuple[str, dict[int, Perm] | None]:
-    """DFS with rank-bitset candidates. Returns (verdict, assignment)."""
+def _search(g: Graph, k: int, budget: _Budget) -> tuple[str, tuple[Perm, ...] | None]:
+    """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict and,
+    for "yes", the image of every vertex in vertex order."""
     full = (1 << factorial(k)) - 1
     agree_memo: dict[int, int] = {}
 
@@ -323,12 +324,12 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
             cands[w] &= row if (adj_u >> w) & 1 else non
         return saved
 
-    def dfs(forced: int | None, rep_mask: int | None, stab: _Stabiliser | None) -> str:
+    def dfs(rep_mask: int | None, stab: _Stabiliser | None) -> str:
         """Assign the next vertex.  stab holds the group fixing every image
         assigned so far (None at the second vertex, whose candidates are
-        already one per class)."""
+        restricted to rep_mask, one per class)."""
         nonlocal assigned_mask
-        u = pick_next() if forced is None else forced
+        u = pick_next()
         my_cands = cands.pop(u)
         bits = my_cands if rep_mask is None else my_cands & rep_mask
         assigned_mask |= 1 << u
@@ -344,7 +345,7 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
             if all(cands[w] for w in cands):
                 if not cands:
                     return "yes"
-                sub = dfs(None, None, _Stabiliser(stab, r, k))
+                sub = dfs(None, _Stabiliser(stab, r, k))
                 if sub != "no":
                     return sub
             for w, m in saved.items():
@@ -361,42 +362,16 @@ def _search(g: Graph, k: int, v2: int, v2_reps: list[Perm],
         return "no"
 
     assign(v1, 0)
+    # Every class representative; the second vertex's candidates, once the
+    # identity is pinned, already hold only the admissible ones (derangements
+    # when it is adjacent to v1, else the rest minus the identity).
     rep_mask = 0
-    for p in v2_reps:
+    for p in _class_representatives(k):
         rep_mask |= 1 << rank_perm(p)
-    verdict = dfs(v2, rep_mask, None)
+    verdict = dfs(rep_mask, None)
     if verdict != "yes":
         return verdict, None
-    return verdict, {v: unrank_perm(r, k) for v, r in assigned.items()}
-
-
-def _reps_for_second_vertex(g: Graph, k: int) -> tuple[int, list[Perm]]:
-    """(second processed vertex, admissible class representatives)."""
-    order = _static_order(g)
-    v1 = order[0]
-    static_rank = {v: i for i, v in enumerate(order)}
-    rest = [u for u in range(g.n) if u != v1]
-    v2 = max(rest, key=lambda u: (1 if g.has_edge(u, v1) else 0, -static_rank[u]))
-    adjacent = g.has_edge(v2, v1)
-    reps = []
-    for p in _class_representatives(k):
-        if p == identity(k):
-            continue
-        if is_derangement(p) == adjacent:
-            reps.append(p)
-    return v2, reps
-
-
-def _assignment_to_matrix(g: Graph, assigned_perms: dict[int, Perm]) -> RepresentationMatrix:
-    return RepresentationMatrix(tuple(assigned_perms[v] for v in range(g.n)))
-
-
-def _run_search(g: Graph, k: int, v2: int, rep_subset: list[Perm],
-                budget_args: tuple[int, float]):
-    """Worker entry: search with the second processed vertex restricted to rep_subset."""
-    budget = _Budget(*budget_args)
-    verdict, assignment = _search(g, k, v2, rep_subset, budget)
-    return verdict, assignment, budget.nodes
+    return verdict, tuple(unrank_perm(assigned[v], k) for v in range(g.n))
 
 
 def is_k_representable(
@@ -404,71 +379,40 @@ def is_k_representable(
     k: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
-    workers: int = 1,
 ) -> tuple[str, RepresentationMatrix | None, SearchStats]:
     """Decide width-k representability: ("yes", witness), ("no", None) or
     ("unknown", None) when the budget ran out.
 
     A "no" is an exhaustive refutation under the three symmetry reductions in
-    the module docstring.  Workers split the second vertex's class
-    representatives and the node limit; refutation requires every worker to
-    exhaust its share.
+    the module docstring.
     """
     if k < 1:
         raise ValueError("width must be >= 1")
     if k > WIDTH_CAP:
         raise WidthCapError(f"width cap exceeded: k={k} > {WIDTH_CAP}")
     start = time.monotonic()
-    stats = SearchStats()
-
-    def done(verdict: str, witness: RepresentationMatrix | None, nodes: int):
-        stats.nodes = nodes
-        stats.millis = (time.monotonic() - start) * 1000.0
-        stats.verdict = verdict
-        return verdict, witness, stats
-
+    budget = _Budget(node_limit, time_limit_ms)
     if g.n > factorial(k):
-        return done("no", None, 0)
-    if g.n == 1:
-        return done("yes", RepresentationMatrix((identity(k),)), 0)
-
-    v2, reps = _reps_for_second_vertex(g, k)
-    if not reps:
-        return done("no", None, 0)
-
-    shares = [reps[i::workers] for i in range(workers)] if workers > 1 else [reps]
-    shares = [s for s in shares if s]
-    # the shares split the node limit, so together they never exceed it
-    n = len(shares)
-    budgets = [(node_limit // n + (i < node_limit % n), time_limit_ms) for i in range(n)]
-    if n == 1:
-        results = [_run_search(g, k, v2, shares[0], budgets[0])]
+        verdict, rows = "no", None
+    elif g.n == 1:
+        verdict, rows = "yes", (identity(k),)
     else:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            futs = [pool.submit(_run_search, g, k, v2, s, b) for s, b in zip(shares, budgets)]
-            results = [f.result() for f in futs]
-
-    total_nodes = sum(r[2] for r in results)
-    witnesses = []
-    for verdict, assignment, _ in results:
-        if verdict == "yes":
-            m = _assignment_to_matrix(g, assignment)
-            rep = verify(g, m)
-            if not rep.valid:  # soundness guard; must never happen
-                raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")
-            witnesses.append(m)
-    if witnesses:
-        return done("yes", min(witnesses, key=lambda m: m.rows), total_nodes)
-    if any(r[0] == "unknown" for r in results):
-        return done("unknown", None, total_nodes)
-    return done("no", None, total_nodes)
+        verdict, rows = _search(g, k, budget)
+    witness = None
+    if rows is not None:
+        witness = RepresentationMatrix(rows)
+        rep = verify(g, witness)
+        if not rep.valid:  # soundness guard; must never happen
+            raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")
+    stats = SearchStats(nodes=budget.nodes, millis=(time.monotonic() - start) * 1000.0,
+                        verdict=verdict)
+    return verdict, witness, stats
 
 
 def solve_drn(
     g: Graph,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
-    workers: int = 1,
     max_k: int | None = None,
 ) -> SolveResult:
     """Exact representation number: iterate widths from the lower bound up,
@@ -490,7 +434,7 @@ def solve_drn(
         if k > WIDTH_CAP:
             raise BudgetExhaustedError(
                 f"drn undecided: widths {refuted} refuted, next width {k} exceeds the solver cap {WIDTH_CAP}")
-        verdict, witness, st = is_k_representable(g, k, node_limit, time_limit_ms, workers)
+        verdict, witness, st = is_k_representable(g, k, node_limit, time_limit_ms)
         stats[k] = st
         if verdict == "yes":
             return SolveResult(k, witness, rep.lower, tuple(refuted), stats,
@@ -510,7 +454,6 @@ def survey(
     k: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
-    workers: int = 1,
     order: int | None = None,
 ) -> SurveyResult:
     """Count corpus graphs that are not width-k representable.
@@ -521,7 +464,7 @@ def survey(
     graphs = list(corpus)
     refuted = []
     for g in graphs:
-        verdict, _, st = is_k_representable(g, k, node_limit, time_limit_ms, workers)
+        verdict, _, st = is_k_representable(g, k, node_limit, time_limit_ms)
         if verdict == "unknown":
             raise BudgetExhaustedError(
                 f"survey undecided for {graph6_encode(g)} at width {k} after {st.nodes} nodes")

@@ -165,6 +165,34 @@ def test_criterion_03_c8_networkx_crosscheck():
     assert found == {3: False, 4: True}
 
 
+def _networkx_mismatches(graphs, widths):
+    """(graph6, k) of every case where networkx induced-subgraph isomorphism
+    into Gamma_k and the solver disagree."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    mismatches = []
+    for k in widths:
+        gamma = _derangement_graph(k, nx)
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            if GraphMatcher(gamma, h).subgraph_is_isomorphic() != (is_k_representable(g, k)[0] == "yes"):
+                mismatches.append((graph6_encode(g), k))
+    return mismatches
+
+
+def test_networkx_crosscheck_orders_up_to_5():
+    graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    assert _networkx_mismatches(graphs, (3, 4, 5)) == []
+
+
+@pytest.mark.slow
+def test_networkx_crosscheck_order_6_width_4():
+    assert _networkx_mismatches(nonisomorphic_graphs(6), (4,)) == []
+
+
 def test_criterion_04_path_table():
     stated = {2: 2, 3: 4, 4: 4, 5: 4, 6: 4, 7: 4, 8: 4, 9: 5, 10: 5}
     t0 = time.monotonic()

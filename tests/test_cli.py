@@ -100,6 +100,8 @@ def test_solve_examples(capsys):
 def test_solve_budget_exit_4(capsys):
     code, _, err = run(capsys, "solve", "K3,3", "--node-limit", "3")
     assert code == 4 and "budget" in err
+    code, out, err = run(capsys, "solve", "K3,3", "--time-limit-ms", "0")
+    assert code == 4 and "after 0 nodes" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):
@@ -177,8 +179,7 @@ def test_survey_input_validation(capsys):
     assert code == 2
     # each rejected by argparse before any search runs
     for argv, message in ((("survey", "--order", "3", "--k", "0"), "--k: must be >= 1"),
-                          (("solve", "C5", "--workers", "-3"), "--workers: must be >= 1"),
-                          (("solve", "C5", "--workers", "0"), "--workers: must be >= 1"),
+                          (("solve", "C5", "--workers", "2"), "unrecognized arguments: --workers"),
                           (("solve", "C5", "--time-limit-ms", "-5"), "--time-limit-ms: must be >= 0"),
                           (("solve", "C5", "--time-limit-ms", "nan"), "--time-limit-ms: must be >= 0"),
                           (("solve", "C5", "--node-limit", "-1"), "--node-limit: must be >= 0"),

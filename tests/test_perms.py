@@ -14,8 +14,6 @@ from drn.perms import (
     identity,
     inverse,
     is_derangement,
-    perm_from_text,
-    perm_to_text,
     rank_perm,
     unrank_perm,
 )
@@ -138,10 +136,3 @@ def test_cycles_rebuild_the_permutation():
             for i, x in enumerate(c):
                 rebuilt[x - 1] = c[(i + 1) % len(c)]
         assert tuple(rebuilt) == p
-
-
-def test_text_round_trip():
-    assert perm_to_text((3, 4, 1, 2)) == "(3,4,1,2)"
-    assert perm_from_text("(3,4,1,2)") == (3, 4, 1, 2)
-    with pytest.raises(ValueError):
-        perm_from_text("(1,1,2)")
