@@ -10,7 +10,7 @@ exact backtracking solver for the representation number itself.
 
 from drn.graphs import Graph, build_family, parse_family
 from drn.matrices import RepresentationMatrix, verify
-from drn.solver import brute_force_oracle, is_k_representable, solve_drn, survey
+from drn.solver import Budget, is_k_representable, solve_drn, survey
 
 __all__ = [
     "Graph",
@@ -18,10 +18,10 @@ __all__ = [
     "build_family",
     "parse_family",
     "verify",
+    "Budget",
     "is_k_representable",
     "solve_drn",
     "survey",
-    "brute_force_oracle",
 ]
 
 __version__ = "0.1.0"

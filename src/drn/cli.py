@@ -21,6 +21,7 @@ from drn.graphs import (
     Graph,
     Graph6Error,
     MAX_ENUM_ORDER,
+    data_lines,
     graph6_decode,
     graph_from_spec_text,
     nonisomorphic_graphs,
@@ -36,6 +37,7 @@ from drn.matrices import (
 from drn.solver import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT_MS,
+    Budget,
     BudgetExhaustedError,
     WidthCapError,
     solve_drn,
@@ -60,8 +62,7 @@ def _load_graph(spec: str) -> Graph:
         path = Path(text[1:])
         if not path.exists():
             raise InputError(f"no such file: {path}")
-        lines = [ln.strip() for ln in path.read_text().splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = data_lines(path.read_text())
         if not lines:
             raise InputError(f"{path} has no graph line")
         text = lines[0]
@@ -156,8 +157,7 @@ def _solve_payload(spec: str, res) -> dict:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    res = solve_drn(g, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms,
-                    max_k=args.max_k)
+    res = solve_drn(g, Budget(args.node_limit, args.time_limit_ms), max_k=args.max_k)
     if args.format == "json":
         _emit(json.dumps(_solve_payload(args.graph, res), indent=2), args.out)
     elif args.format == "csv":
@@ -185,7 +185,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_table(args) -> int:
-    limits = dict(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
+    budget = Budget(args.node_limit, args.time_limit_ms)  # one for the whole range
     if args.which == "bipartite":
         smax = int(args.range)
         if smax < 1:
@@ -193,7 +193,7 @@ def cmd_table(args) -> int:
         entries = []
         for s in range(1, smax + 1):
             for r in range(1, s + 1):
-                val = solve_drn(graph_from_spec_text(f"K{r},{s}"), **limits).drn
+                val = solve_drn(graph_from_spec_text(f"K{r},{s}"), budget).drn
                 entries.append((r, s, val))
         if args.format == "json":
             _emit(json.dumps({"table": "bipartite",
@@ -218,7 +218,7 @@ def cmd_table(args) -> int:
         raise InputError(f"{args.which} start at {floor}")
     if hi < lo:
         raise InputError(f"empty range {args.range}: it ends before it starts")
-    entries = [(n, solve_drn(graph_from_spec_text(f"{fam}{n}"), **limits).drn)
+    entries = [(n, solve_drn(graph_from_spec_text(f"{fam}{n}"), budget).drn)
                for n in range(lo, hi + 1)]
     if args.format == "json":
         _emit(json.dumps({"table": args.which,
@@ -250,8 +250,7 @@ def cmd_survey(args) -> int:
             raise InputError("--k is required with a corpus file")
         k = args.k
         order = None
-    res = survey(graphs, k, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms,
-                 order=order)
+    res = survey(graphs, k, Budget(args.node_limit, args.time_limit_ms), order=order)
     if args.format == "json":
         _emit(json.dumps({
             "order": res.order, "width": k, "total": res.total,
@@ -283,11 +282,20 @@ def _at_least(lo: int, convert=int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--out", help="write the primary output to this path")
-    p.add_argument("--node-limit", type=_at_least(0), default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--time-limit-ms", type=_at_least(0, float), default=DEFAULT_TIME_LIMIT_MS)
+_COMMON = {
+    "--format": dict(choices=("text", "csv", "json"), default="text"),
+    "--out": dict(help="write the primary output to this path"),
+    "--node-limit": dict(type=_at_least(0), default=DEFAULT_NODE_LIMIT,
+                         help="search nodes for the whole command"),
+    "--time-limit-ms": dict(type=_at_least(0, float), default=DEFAULT_TIME_LIMIT_MS,
+                            help="milliseconds for the whole command"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named options of _COMMON (all of them when none are named)."""
+    for name in names or _COMMON:
+        p.add_argument(name, **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,17 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a certificate file against a graph")
     p.add_argument("graph", help='family grammar ("K6-K3"), "g6:...", or @file')
     p.add_argument("matrix", help="drnmat certificate path")
-    _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("construct", help="emit the best construction certificate")
     p.add_argument("graph")
-    _add_common(p)
+    _add_common(p, "--out")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("bounds", help="lower/upper bounds with provenance")
     p.add_argument("graph")
-    _add_common(p)
+    _add_common(p, "--format", "--out")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("solve", help="exact representation number")

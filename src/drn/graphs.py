@@ -98,14 +98,6 @@ class Graph:
                     adj[pos[v]] |= 1 << pos[w]
         return Graph(len(vs), tuple(adj))
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under the vertex bijection old -> perm[old] (0-based)."""
-        adj = [0] * self.n
-        for u, v in self.edges():
-            adj[perm[u]] |= 1 << perm[v]
-            adj[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(adj))
-
     def is_complete(self) -> bool:
         return self.q == self.n * (self.n - 1) // 2
 
@@ -304,11 +296,16 @@ def graph_from_spec_text(text: str) -> Graph:
 MAX_EXACT_ORDER = 64
 
 
+def degree_order(g: Graph) -> list[int]:
+    """The vertices by descending degree, ties by ascending index."""
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size by branch and bound with a greedy coloring bound."""
     if g.n > MAX_EXACT_ORDER:
         raise ValueError("graph too large for exact invariant")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = degree_order(g)
     best = 0
 
     def color_bound(cand: int, verts: list[int]) -> list[tuple[int, int]]:
@@ -371,13 +368,6 @@ class CliqueDecomposition:
                 seen.add(e)
         if len(seen) != host.q:
             raise ValueError("cliques do not cover every edge")
-
-
-def trivial_edge_decomposition(g: Graph) -> CliqueDecomposition:
-    """Every edge as its own K_2."""
-    if g.q == 0:
-        raise ValueError("no non-trivial decomposition exists")
-    return CliqueDecomposition(tuple(sorted(g.edges())))
 
 
 def greedy_clique_decomposition(g: Graph) -> CliqueDecomposition:
@@ -494,11 +484,11 @@ def _read_enum_cache(path: str, n: int) -> list[Graph] | None:
     return graphs
 
 
+def data_lines(text: str) -> list[str]:
+    """The lines of ``text``, stripped, without blank lines and '#' comments."""
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def read_graph6_lines(text: str) -> list[Graph]:
     """One graph per LF-terminated line; '#' lines and blank lines are skipped."""
-    graphs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            graphs.append(graph6_decode(line))
-    return graphs
+    return [graph6_decode(line) for line in data_lines(text)]

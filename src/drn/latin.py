@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from drn.perms import is_perm
+
 
 @dataclass(frozen=True)
 class LatinRectangle:
@@ -57,9 +59,6 @@ class LatinRectangle:
     def row(self, i: int) -> tuple[int, ...]:
         """1-based row access."""
         return self.cells[i - 1]
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.cells)
 
 
 class LatinSquare(LatinRectangle):
@@ -183,7 +182,7 @@ def prescribe_rows(rows: Sequence[Sequence[int]], n: int) -> LatinSquare:
     """Latin square of order n over symbols [1..n] whose first rows are exactly ``rows``."""
     cells = tuple(tuple(r) for r in rows)
     for i, row in enumerate(cells):
-        if sorted(row) != list(range(1, n + 1)):
+        if len(row) != n or not is_perm(row):
             raise ValueError(f"prescribed rows conflict: row {i + 1} is not a permutation of [1..{n}]")
     try:
         rect = LatinRectangle(cells)

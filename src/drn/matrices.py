@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from drn.graphs import Graph
-from drn.perms import Perm, check_perm, compose, inverse
+from drn.graphs import Graph, data_lines
+from drn.perms import Perm, check_perm, is_perm
 
 ADJACENT_BUT_AGREE = "adjacent-but-agree"
 NONADJ_BUT_DISAGREE = "non-adjacent-but-disagree-everywhere"
@@ -43,7 +43,7 @@ class RepresentationMatrix:
         for i, row in enumerate(self.rows, start=1):
             if len(row) != k:
                 raise ValueError(f"row {i} has width {len(row)}, expected {k}")
-            if sorted(row) != list(range(1, k + 1)):
+            if not is_perm(row):
                 raise ValueError(f"row {i} is not a permutation")
 
     @property
@@ -100,30 +100,6 @@ def verify(g: Graph, m: RepresentationMatrix) -> VerifyReport:
     return VerifyReport(not violations, tuple(violations))
 
 
-def normalize(m: RepresentationMatrix) -> RepresentationMatrix:
-    """Left-translate all rows by inverse(row 1); row 1 becomes the identity.
-
-    Cellwise disagreement is invariant under left composition, so the verify
-    outcome is unchanged for every graph.
-    """
-    t = inverse(m.rows[0])
-    return RepresentationMatrix(tuple(compose(t, row) for row in m.rows))
-
-
-def permute_columns(m: RepresentationMatrix, t: Perm) -> RepresentationMatrix:
-    """New row entry j is the old entry t(j) (simultaneous column shuffle)."""
-    if len(t) != m.k:
-        raise ValueError("degree mismatch")
-    return RepresentationMatrix(tuple(compose(row, t) for row in m.rows))
-
-
-def relabel_symbols(m: RepresentationMatrix, t: Perm) -> RepresentationMatrix:
-    """Replace every entry e by t(e) (simultaneous symbol relabeling)."""
-    if len(t) != m.k:
-        raise ValueError("degree mismatch")
-    return RepresentationMatrix(tuple(compose(t, row) for row in m.rows))
-
-
 # drnmat file format: "drnmat 1" / "<n> <k>" / n grid lines; '#' comments; LF.
 
 def write_matrix(m: RepresentationMatrix, comments: Sequence[str] = ()) -> str:
@@ -135,7 +111,7 @@ def write_matrix(m: RepresentationMatrix, comments: Sequence[str] = ()) -> str:
 
 
 def read_matrix(text: str, allow_duplicate_rows: bool = False) -> RepresentationMatrix:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = data_lines(text)
     if not lines or lines[0].split() != ["drnmat", "1"]:
         raise MatrixParseError("missing 'drnmat 1' header")
     if len(lines) < 2:

@@ -1,4 +1,4 @@
-"""Permutation arithmetic and derangement predicates over S_k.
+"""Permutation arithmetic, ranking and cycles over S_k.
 
 Permutations are plain tuples of 1-based images in one-line form: ``(2, 3, 1)``
 is the map 1->2, 2->3, 3->1.  All values are immutable and all operations are
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 
@@ -61,60 +61,11 @@ def inverse(a: Perm) -> Perm:
     return tuple(inv)
 
 
-def is_derangement(a: Perm) -> bool:
-    """True iff a(i) != i for every position i."""
-    return all(x != i for i, x in enumerate(a, start=1))
-
-
 def disagree_everywhere(a: Perm, b: Perm) -> bool:
     """True iff a(i) != b(i) for all i; equivalently inverse(a) o b is a derangement."""
     if len(a) != len(b):
         raise ValueError("degree mismatch")
     return all(x != y for x, y in zip(a, b))
-
-
-def enumerate_derangements(k: int) -> Iterator[Perm]:
-    """Yield the derangements of S_k once each, in lexicographic one-line order.
-
-    >>> list(enumerate_derangements(3))
-    [(2, 3, 1), (3, 1, 2)]
-    """
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    if k > MAX_ENUM_DEGREE:
-        raise ValueError(f"degree {k} exceeds enumeration cap {MAX_ENUM_DEGREE}")
-
-    prefix: list[int] = []
-    used = [False] * (k + 1)
-
-    def rec(pos: int) -> Iterator[Perm]:
-        if pos > k:
-            yield tuple(prefix)
-            return
-        for v in range(1, k + 1):
-            if v == pos or used[v]:
-                continue
-            used[v] = True
-            prefix.append(v)
-            yield from rec(pos + 1)
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(1)
-
-
-def derangement_count(k: int) -> int:
-    """d(k) via the recurrence d(k) = (k-1)(d(k-1)+d(k-2)), d(1)=0, d(2)=1."""
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    if k == 1:
-        return 0
-    if k == 2:
-        return 1
-    a, b = 0, 1  # d(1), d(2)
-    for m in range(3, k + 1):
-        a, b = b, (m - 1) * (a + b)
-    return b
 
 
 def rank_perm(a: Perm) -> int:
@@ -153,11 +104,6 @@ def all_perms(k: int) -> list[Perm]:
     if k > MAX_ENUM_DEGREE:
         raise ValueError(f"degree {k} exceeds enumeration cap {MAX_ENUM_DEGREE}")
     return list(itertools.permutations(range(1, k + 1)))
-
-
-def conjugate(t: Perm, a: Perm) -> Perm:
-    """t^-1 o a o t."""
-    return compose(inverse(t), compose(a, t))
 
 
 def cycles(a: Perm) -> list[list[int]]:

@@ -54,9 +54,9 @@ Two permutations fail to disagree everywhere exactly when they agree in some
 position, so q agrees with p iff q(i) = p(i) for some i, that is iff q lies
 in agree(p) = M[1][p(1)] | ... | M[k][p(k)].  Hence the Cayley neighbours of
 p are ``full ^ agree(p)``, and the other non-neighbours are ``agree(p)``
-without p itself.  Rows are computed on demand and memoised per search (at
-most 7! of them); no k! x k! table is built (at k = 8 it would take about
-200 MB).  Widths above 8 are out of scope.
+without p itself.  Rows are computed on demand and kept across searches in
+an LRU cache of 7! rows; no k! x k! table is built (at k = 8 it would take
+about 200 MB).  Widths above 8 are out of scope.
 """
 
 from __future__ import annotations
@@ -68,21 +68,12 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, graph6_encode
+from drn.graphs import Graph, degree_order, graph6_encode
 from drn.matrices import RepresentationMatrix, verify
-from drn.perms import (
-    Perm,
-    all_perms,
-    cycles,
-    disagree_everywhere,
-    identity,
-    inverse,
-    rank_perm,
-    unrank_perm,
-)
+from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
 WIDTH_CAP = 8
-# At most 7! memoised agreement rows: every rank for k <= 7, about 25 MB at k = 8.
+# At most 7! cached agreement rows: every rank for k <= 7, about 25 MB at k = 8.
 AGREE_MEMO_CAP = 5040
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT_MS = 15 * 60 * 1000
@@ -138,6 +129,7 @@ def _masks(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int.from_bytes(b, "little") for b in row) for row in bufs)
 
 
+@lru_cache(maxsize=AGREE_MEMO_CAP)
 def _agreement(k: int, r: int) -> int:
     """Bitset of the ranks that agree with rank r in some position, r included."""
     m = 0
@@ -260,44 +252,40 @@ def _representative_stabiliser(rho: Perm) -> tuple:
     return tuple(group)
 
 
-def _static_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+class Budget:
+    """Node and time limits for everything one command searches.
 
+    Every search given the same budget draws on it: ``nodes`` counts the nodes
+    of all of them against ``node_limit``, and the deadline is fixed when the
+    budget is made.  The clock is read when each search starts and then every
+    2048 nodes, so a search that starts after the deadline (or under a zero
+    time limit) spends no node.
+    """
 
-class _Budget:
-    """Node and time limits.  The clock is read before the first node and then
-    every 2048 nodes, so a zero time limit searches nothing."""
-
-    def __init__(self, node_limit: int, time_limit_ms: float):
+    def __init__(self, node_limit: int = DEFAULT_NODE_LIMIT,
+                 time_limit_ms: float = DEFAULT_TIME_LIMIT_MS):
         self.node_limit = node_limit
         self.deadline = time.monotonic() + time_limit_ms / 1000.0
         self.nodes = 0
+
+    def expired(self) -> bool:
+        return time.monotonic() >= self.deadline
 
     def spend(self) -> bool:
         """Count one node; False, counting nothing, once the budget is gone."""
         if self.nodes >= self.node_limit:
             return False
-        if self.nodes % 2048 == 0 and time.monotonic() >= self.deadline:
+        if self.nodes % 2048 == 0 and self.expired():
             return False
         self.nodes += 1
         return True
 
 
-def _search(g: Graph, k: int, budget: _Budget) -> tuple[str, tuple[Perm, ...] | None]:
+def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | None]:
     """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict and,
     for "yes", the image of every vertex in vertex order."""
     full = (1 << factorial(k)) - 1
-    agree_memo: dict[int, int] = {}
-
-    def agree(r: int) -> int:
-        m = agree_memo.get(r)
-        if m is None:
-            m = _agreement(k, r)
-            if len(agree_memo) < AGREE_MEMO_CAP:
-                agree_memo[r] = m
-        return m
-
-    order = _static_order(g)
+    order = degree_order(g)
     static_rank = {v: i for i, v in enumerate(order)}
     v1 = order[0]
     assigned: dict[int, int] = {v1: 0}  # the identity, rank 0
@@ -315,7 +303,7 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[str, tuple[Perm, ...] | 
     def assign(u: int, r: int) -> dict[int, int]:
         """Prune candidate masks of the unassigned vertices; returns the saved masks."""
         saved = {}
-        non = agree(r)
+        non = _agreement(k, r)
         row = full ^ non
         non ^= 1 << r
         adj_u = g.adj[u]
@@ -375,13 +363,11 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[str, tuple[Perm, ...] | 
 
 
 def is_k_representable(
-    g: Graph,
-    k: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
+    g: Graph, k: int, budget: Budget | None = None,
 ) -> tuple[str, RepresentationMatrix | None, SearchStats]:
     """Decide width-k representability: ("yes", witness), ("no", None) or
-    ("unknown", None) when the budget ran out.
+    ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
+    nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
     A "no" is an exhaustive refutation under the three symmetry reductions in
     the module docstring.
@@ -391,11 +377,15 @@ def is_k_representable(
     if k > WIDTH_CAP:
         raise WidthCapError(f"width cap exceeded: k={k} > {WIDTH_CAP}")
     start = time.monotonic()
-    budget = _Budget(node_limit, time_limit_ms)
+    if budget is None:
+        budget = Budget()
+    spent_before = budget.nodes
     if g.n > factorial(k):
         verdict, rows = "no", None
     elif g.n == 1:
         verdict, rows = "yes", (identity(k),)
+    elif budget.expired():
+        verdict, rows = "unknown", None
     else:
         verdict, rows = _search(g, k, budget)
     witness = None
@@ -404,26 +394,24 @@ def is_k_representable(
         rep = verify(g, witness)
         if not rep.valid:  # soundness guard; must never happen
             raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")
-    stats = SearchStats(nodes=budget.nodes, millis=(time.monotonic() - start) * 1000.0,
-                        verdict=verdict)
+    stats = SearchStats(nodes=budget.nodes - spent_before,
+                        millis=(time.monotonic() - start) * 1000.0, verdict=verdict)
     return verdict, witness, stats
 
 
-def solve_drn(
-    g: Graph,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
-    max_k: int | None = None,
-) -> SolveResult:
+def solve_drn(g: Graph, budget: Budget | None = None, max_k: int | None = None) -> SolveResult:
     """Exact representation number: iterate widths from the lower bound up,
     stopping at the certified upper bound where a construction witness exists.
+    Every width draws on one budget (``None``: a fresh default ``Budget``).
     Raises BudgetExhaustedError instead of guessing when a width cannot be
-    decided within budget.
+    decided within it.
     """
     from drn.constructions import best_certificate, bounds
 
     if g.n > 32:
         raise ValueError("order cap for the solver is 32")
+    if budget is None:
+        budget = Budget()
     rep = bounds(g)
     refuted: list[int] = []
     stats: dict[int, SearchStats] = {}
@@ -434,56 +422,38 @@ def solve_drn(
         if k > WIDTH_CAP:
             raise BudgetExhaustedError(
                 f"drn undecided: widths {refuted} refuted, next width {k} exceeds the solver cap {WIDTH_CAP}")
-        verdict, witness, st = is_k_representable(g, k, node_limit, time_limit_ms)
+        verdict, witness, st = is_k_representable(g, k, budget)
         stats[k] = st
         if verdict == "yes":
             return SolveResult(k, witness, rep.lower, tuple(refuted), stats,
                                rep.upper, "search")
         if verdict == "unknown":
             raise BudgetExhaustedError(
-                f"budget exhausted at width {k} after {st.nodes} nodes; "
-                f"widths refuted so far: {refuted}")
+                f"budget exhausted at width {k} after {st.nodes} nodes "
+                f"({budget.nodes} in all); widths refuted so far: {refuted}")
         refuted.append(k)
     cert = best_certificate(g)
     return SolveResult(rep.upper, cert.matrix, rep.lower, tuple(refuted), stats,
                        rep.upper, cert.theorem)
 
 
-def survey(
-    corpus,
-    k: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit_ms: float = DEFAULT_TIME_LIMIT_MS,
-    order: int | None = None,
-) -> SurveyResult:
+def survey(corpus, k: int, budget: Budget | None = None, order: int | None = None) -> SurveyResult:
     """Count corpus graphs that are not width-k representable.
 
+    Every graph draws on one budget (``None``: a fresh default ``Budget``).
     Any undecided graph fails the whole run (budget error), so a returned
     count is exact.
     """
+    if budget is None:
+        budget = Budget()
     graphs = list(corpus)
     refuted = []
     for g in graphs:
-        verdict, _, st = is_k_representable(g, k, node_limit, time_limit_ms)
+        verdict, _, st = is_k_representable(g, k, budget)
         if verdict == "unknown":
             raise BudgetExhaustedError(
-                f"survey undecided for {graph6_encode(g)} at width {k} after {st.nodes} nodes")
+                f"survey undecided for {graph6_encode(g)} at width {k} after {st.nodes} nodes "
+                f"({budget.nodes} in all)")
         if verdict == "no":
             refuted.append(graph6_encode(g))
     return SurveyResult(order, len(graphs), len(refuted), tuple(refuted))
-
-
-def brute_force_oracle(g: Graph, k: int) -> bool:
-    """Ground-truth decision by enumerating all injective maps into S_k.
-
-    No symmetry reduction and no propagation; only feasible for g.n <= 4 and
-    k <= 4.  Used to validate the search.
-    """
-    if g.n > 4 or k > 4:
-        raise ValueError("oracle caps: n <= 4 and k <= 4")
-    perms = all_perms(k)
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    for chosen in iter_permutations(perms, g.n):
-        if all(disagree_everywhere(chosen[i], chosen[j]) == g.has_edge(i, j) for i, j in pairs):
-            return True
-    return False

@@ -1,0 +1,53 @@
+"""Plain reference code the tests compare the program against.
+
+Nothing here is used by ``drn`` itself: each helper is the slow, obvious
+version of a fact the tests check (a decision by enumeration, a relabelling,
+a symmetry action on a matrix).
+"""
+
+from itertools import permutations
+
+from drn.graphs import CliqueDecomposition, Graph
+from drn.matrices import RepresentationMatrix
+from drn.perms import all_perms, compose, disagree_everywhere, inverse
+
+
+def brute_force_oracle(g: Graph, k: int) -> bool:
+    """Ground-truth decision by enumerating all injective maps into S_k.
+
+    No symmetry reduction and no propagation; only feasible for g.n <= 4 and
+    k <= 4.
+    """
+    if g.n > 4 or k > 4:
+        raise ValueError("oracle caps: n <= 4 and k <= 4")
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    for chosen in permutations(all_perms(k), g.n):
+        if all(disagree_everywhere(chosen[i], chosen[j]) == g.has_edge(i, j) for i, j in pairs):
+            return True
+    return False
+
+
+def edge_cliques(g: Graph) -> CliqueDecomposition:
+    """Every edge as its own K_2."""
+    return CliqueDecomposition(tuple(sorted(g.edges())))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the vertex bijection old -> perm[old] (0-based)."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def normalize(m: RepresentationMatrix) -> RepresentationMatrix:
+    """Left-translate every row by inverse(row 1); row 1 becomes the identity."""
+    t = inverse(m.rows[0])
+    return RepresentationMatrix(tuple(compose(t, row) for row in m.rows))
+
+
+def permute_columns(m: RepresentationMatrix, t) -> RepresentationMatrix:
+    """New row entry j is the old entry t(j) (one column shuffle for every row)."""
+    return RepresentationMatrix(tuple(compose(row, t) for row in m.rows))
+
+
+def relabel_symbols(m: RepresentationMatrix, t) -> RepresentationMatrix:
+    """Replace every entry e by t(e)."""
+    return RepresentationMatrix(tuple(compose(t, row) for row in m.rows))

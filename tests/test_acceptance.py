@@ -40,11 +40,11 @@ from drn.graphs import (
     graph6_encode,
     graph_from_spec_text,
     nonisomorphic_graphs,
-    trivial_edge_decomposition,
 )
-from drn.matrices import matrix, normalize, permute_columns, relabel_symbols, verify
+from drn.matrices import matrix, verify
 from drn.perms import all_perms
-from drn.solver import brute_force_oracle, is_k_representable, solve_drn, survey
+from drn.solver import is_k_representable, solve_drn, survey
+from reference import brute_force_oracle, edge_cliques, normalize, permute_columns, relabel_symbols
 
 
 def G(spec):
@@ -267,7 +267,7 @@ def test_criterion_08_construction_sweep():
             comp = g.complement()
             if comp.q >= 2:
                 check(build_edge_blocks(g), (n - 1) * comp.q)
-                d = trivial_edge_decomposition(comp)
+                d = edge_cliques(comp)
                 check(build_clique_decomposition(g, d), len(d.cliques) * (n - 1))
     for n in range(1, 25):
         build_empty(n)

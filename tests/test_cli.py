@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+
+import pytest
 
 from drn import fixtures
 from drn.cli import main
@@ -102,6 +105,41 @@ def test_solve_budget_exit_4(capsys):
     assert code == 4 and "budget" in err
     code, out, err = run(capsys, "solve", "K3,3", "--time-limit-ms", "0")
     assert code == 4 and "after 0 nodes" in err and out == ""
+
+
+def test_budget_bounds_the_whole_command(capsys):
+    # node totals: K3,3 spends 9 nodes at width 4 and 5 at width 5; cycles
+    # 9..12 spend 169 over all their widths; the 34 order-5 graphs 178 at width 4
+    for argv, total in ((("solve", "K3,3"), 14),
+                        (("table", "cycles", "9..12"), 169),
+                        (("survey", "--order", "5", "--k", "4"), 178)):
+        code, out, err = run(capsys, *argv, "--node-limit", str(total - 1))
+        assert code == 4 and f"({total - 1} in all)" in err and out == "", argv
+        code, out, _ = run(capsys, *argv, "--node-limit", str(total))
+        assert code == 0 and out, argv
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    shared = {"--format", "--out", "--node-limit", "--time-limit-ms"}
+    expected = {"verify": set(), "construct": {"--out"}, "bounds": {"--format", "--out"},
+                "solve": shared | {"--max-k"}, "table": shared,
+                "survey": shared | {"--order", "--k"}}
+    for command, options in expected.items():
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} == options, command
+    for argv in (("verify", "K3", "m.drnmat", "--format", "json"),
+                 ("construct", "K3", "--node-limit", "5"),
+                 ("bounds", "K3", "--time-limit-ms", "5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err and out == "", argv
+
+
+@pytest.mark.slow
+def test_solve_c15_node_limit_counts_every_width(capsys):
+    # width 5 is refuted in exactly 172,701 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "172701")
+    assert code == 4 and "at width 6 after 0 nodes (172701 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

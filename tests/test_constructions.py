@@ -24,9 +24,9 @@ from drn.graphs import (
     graph_from_spec_text,
     greedy_clique_decomposition,
     nonisomorphic_graphs,
-    trivial_edge_decomposition,
 )
 from drn.matrices import read_matrix, verify
+from reference import edge_cliques, relabel
 
 
 def G(spec):
@@ -75,7 +75,7 @@ def test_clique_decomposition_examples():
     d = greedy_clique_decomposition(g.complement())
     check(build_clique_decomposition(g, d), 6)
     g = G("E4")
-    check(build_clique_decomposition(g, trivial_edge_decomposition(g.complement())), 18)
+    check(build_clique_decomposition(g, edge_cliques(g.complement())), 18)
     with pytest.raises(ValueError, match="two cliques"):
         build_clique_decomposition(G("E3"), greedy_clique_decomposition(G("K3")))
 
@@ -86,7 +86,7 @@ def test_clique_decomposition_small_corpus():
             comp = g.complement()
             if comp.q < 2:
                 continue
-            d = trivial_edge_decomposition(comp)
+            d = edge_cliques(comp)
             width = len(d.cliques) * (n + 1) - 2 * len(d.cliques)
             check(build_clique_decomposition(g, d), width)
 
@@ -261,7 +261,7 @@ def test_best_certificate_on_relabeled_graphs():
         g = G(spec)
         order = list(range(g.n))
         rng.shuffle(order)
-        h = g.relabel(order)
+        h = relabel(g, order)
         cert = best_certificate(h)
         assert verify(h, cert.matrix).valid
         assert cert.claimed_width == bounds(g).upper

@@ -16,8 +16,8 @@ from drn.graphs import (
     independence_number,
     nonisomorphic_graphs,
     parse_family,
-    trivial_edge_decomposition,
 )
+from reference import edge_cliques
 
 
 def G(spec: str) -> Graph:
@@ -137,14 +137,12 @@ def test_clique_number_against_oracle_small_corpus():
 
 def test_decompositions():
     k3 = G("K3")
-    triv = trivial_edge_decomposition(k3)
-    assert len(triv.cliques) == 3 and all(len(c) == 2 for c in triv.cliques)
     greedy = greedy_clique_decomposition(k3)
     assert greedy.cliques == ((0, 1, 2),)
     two_k2 = G("C4").complement()
     assert len(greedy_clique_decomposition(two_k2).cliques) == 2
     with pytest.raises(ValueError):
-        trivial_edge_decomposition(G("E4"))
+        greedy_clique_decomposition(G("E4"))
 
 
 def test_decomposition_partition_invariant_on_corpus():
@@ -152,7 +150,7 @@ def test_decomposition_partition_invariant_on_corpus():
         for g in nonisomorphic_graphs(n):
             if g.q == 0:
                 continue
-            for d in (trivial_edge_decomposition(g), greedy_clique_decomposition(g)):
+            for d in (edge_cliques(g), greedy_clique_decomposition(g)):
                 d.validate(g)
 
 

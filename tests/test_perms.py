@@ -1,22 +1,32 @@
 import random
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
 from drn.perms import (
     all_perms,
     compose,
-    conjugate,
     cycles,
-    derangement_count,
     disagree_everywhere,
-    enumerate_derangements,
     identity,
     inverse,
-    is_derangement,
     rank_perm,
     unrank_perm,
 )
+from drn.solver import _class_representatives
+
+
+def _is_derangement(a):
+    return all(x != i for i, x in enumerate(a, start=1))
+
+
+def _derangement_count(k):
+    """d(k) by the recurrence d(k) = (k-1)(d(k-1) + d(k-2)), d(0) = 1, d(1) = 0."""
+    a, b = 1, 0
+    for m in range(2, k + 1):
+        a, b = b, (m - 1) * (a + b)
+    return b
 
 
 def test_compose_examples():
@@ -47,12 +57,6 @@ def test_inverse_composes_to_identity():
         assert compose(inverse(p), p) == identity(k)
 
 
-def test_is_derangement():
-    assert is_derangement((2, 3, 1))
-    assert not is_derangement((1, 2, 3))
-    assert not is_derangement((2, 1, 3))
-
-
 def test_disagree_everywhere():
     assert disagree_everywhere((1, 2, 3, 4), (3, 4, 1, 2))
     assert not disagree_everywhere((1, 2, 3, 4), (1, 2, 4, 3))
@@ -65,33 +69,21 @@ def test_disagree_matches_quotient_derangement():
         k = rng.randint(1, 6)
         a = tuple(rng.sample(range(1, k + 1), k))
         b = tuple(rng.sample(range(1, k + 1), k))
-        assert disagree_everywhere(a, b) == is_derangement(compose(inverse(a), b))
+        assert disagree_everywhere(a, b) == _is_derangement(compose(inverse(a), b))
         assert disagree_everywhere(a, b) == disagree_everywhere(b, a)
-
-
-def test_enumerate_derangements_small():
-    assert list(enumerate_derangements(3)) == [(2, 3, 1), (3, 1, 2)]
-    assert list(enumerate_derangements(1)) == []
-
-
-def test_enumerate_derangements_k4_against_filter_oracle():
-    # independent oracle: filter the full symmetric group
-    oracle = [p for p in all_perms(4) if all(p[i] != i + 1 for i in range(4))]
-    assert list(enumerate_derangements(4)) == oracle
-    assert len(oracle) == 9
 
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_derangement_counts_match_recurrence(k):
-    assert sum(1 for _ in enumerate_derangements(k)) == derangement_count(k)
-
-
-def test_enumeration_is_lexicographic_and_capped():
-    for k in (3, 4, 5):
-        ds = list(enumerate_derangements(k))
-        assert ds == sorted(ds)
-    with pytest.raises(ValueError):
-        list(enumerate_derangements(13))
+    # The solver's conjugacy-class representatives, one per cycle type: the
+    # fixed-point-free classes, of size k! / prod(l^m_l * m_l!), hold the d(k)
+    # derangements, and all the classes together hold k! permutations.
+    sizes = {}
+    for rep in _class_representatives(k):
+        mult = Counter(len(c) for c in cycles(rep))
+        sizes[rep] = factorial(k) // prod(l**m * factorial(m) for l, m in mult.items())
+    assert sum(sizes.values()) == factorial(k)
+    assert sum(s for rep, s in sizes.items() if _is_derangement(rep)) == _derangement_count(k)
 
 
 def test_rank_unrank_examples():
@@ -119,10 +111,10 @@ def test_derangements_closed_under_inverse_and_conjugation():
     rng = random.Random(3)
     for _ in range(200):
         k = rng.randint(2, 6)
-        d = tuple(rng.choice(list(enumerate_derangements(k))))
+        d = rng.choice([p for p in all_perms(k) if _is_derangement(p)])
         t = tuple(rng.sample(range(1, k + 1), k))
-        assert is_derangement(inverse(d))
-        assert is_derangement(conjugate(t, d))
+        assert _is_derangement(inverse(d))
+        assert _is_derangement(compose(inverse(t), compose(d, t)))
 
 
 def test_cycles_rebuild_the_permutation():

@@ -1,4 +1,5 @@
 import random
+import time
 from math import factorial
 
 import pytest
@@ -16,6 +17,7 @@ from drn.perms import (
     unrank_perm,
 )
 from drn.solver import (
+    Budget,
     BudgetExhaustedError,
     WidthCapError,
     _agreement,
@@ -23,11 +25,11 @@ from drn.solver import (
     _images,
     _masks,
     _representative_stabiliser,
-    brute_force_oracle,
     is_k_representable,
     solve_drn,
     survey,
 )
+from reference import brute_force_oracle
 
 
 def G(spec):
@@ -290,16 +292,38 @@ def test_determinism():
 
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExhaustedError):
-        solve_drn(G("K3,3"), node_limit=3)
-    verdict, _, stats = is_k_representable(G("K3,3"), 4, node_limit=3)
+        solve_drn(G("K3,3"), Budget(node_limit=3))
+    verdict, _, stats = is_k_representable(G("K3,3"), 4, Budget(node_limit=3))
     assert verdict == "unknown" and stats.nodes == 3
-    verdict, witness, stats = is_k_representable(G("C16"), 8, node_limit=3)
+    verdict, witness, stats = is_k_representable(G("C16"), 8, Budget(node_limit=3))
     assert verdict == "unknown" and witness is None and stats.nodes == 3
 
 
 def test_zero_time_limit_searches_nothing():
-    verdict, witness, stats = is_k_representable(G("C15"), 5, time_limit_ms=0)
+    verdict, witness, stats = is_k_representable(G("C15"), 5, Budget(time_limit_ms=0))
     assert (verdict, witness) == ("unknown", None) and stats.nodes == 0
+
+
+def test_budget_is_shared_across_calls():
+    # K3,3 spends 9 nodes refuting width 4 and 5 deciding width 5
+    budget = Budget(node_limit=13)
+    assert is_k_representable(G("K3,3"), 4, budget)[0] == "no"
+    verdict, _, stats = is_k_representable(G("K3,3"), 5, budget)
+    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 13
+    with pytest.raises(BudgetExhaustedError, match="at width 5 after 4 nodes"):
+        solve_drn(G("K3,3"), Budget(node_limit=13))
+    res = solve_drn(G("K3,3"), Budget(node_limit=14))
+    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 9, 5: 5}
+
+
+def test_search_after_the_deadline_spends_nothing():
+    budget = Budget()
+    assert is_k_representable(G("C7"), 4, budget)[0] == "no"
+    spent = budget.nodes
+    assert spent > 0
+    budget.deadline = time.monotonic()  # the deadline passes between two calls
+    verdict, witness, stats = is_k_representable(G("C7"), 4, budget)
+    assert (verdict, witness, stats.nodes, budget.nodes) == ("unknown", None, 0, spent)
 
 
 def test_max_k_stops_early():
