@@ -117,7 +117,7 @@ def cmd_construct(args) -> int:
     check = verify(res.graph, res.matrix)
     if not check.valid:  # builders verify already; defense in depth
         raise ConstructionDefectError("certificate failed re-verification")
-    print(f"{args.graph}: width {res.claimed_width} via {res.theorem}")
+    print(f"{args.graph}: width {res.claimed_width} via {res.theorem}", file=sys.stderr)
     _emit(res.to_drnmat(), args.out)
     return EXIT_OK
 
@@ -352,10 +352,7 @@ def main(argv=None) -> int:
     except DuplicateRowsError as e:
         print(e)
         return EXIT_INVALID
-    except (InputError, MatrixParseError, Graph6Error, WidthCapError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
+    except (InputError, MatrixParseError, Graph6Error, WidthCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ConstructionDefectError as e:

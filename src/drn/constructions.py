@@ -16,7 +16,7 @@ Width guarantees by family (n = order):
     complete minus P_k (k>=5)    n
     complete minus C_k (k>=4)    n
     cycle                        ceil(n/2)+1   (n=4 is a documented exception: 4)
-    path  (n>=5)                 ceil(n/2)+1
+    path                         ceil(n/2)+1 for n >= 5; 2, 4, 4 at n = 2, 3, 4
     complete minus K_r           max(n, 2r)
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable
 
 from drn.graphs import (
     CliqueDecomposition,
@@ -32,6 +33,7 @@ from drn.graphs import (
     build_family,
     clique_number,
     graph6_encode,
+    graph_from_spec_text,
     greedy_clique_decomposition,
     independence_number,
 )
@@ -105,7 +107,7 @@ def build_complete_minus_k2(n: int) -> ConstructionResult:
     rows = list(sq.cells)
     rows[1] = (1, 2) + r2[2:]
     g = build_family(FamilySpec("minus_clique", (n, 2)))
-    return _certify(g, rows, n, "near-complete-k2")
+    return _certify(g, rows, n, _near_tag("K2"))
 
 
 # Generic block constructions ----------------------------------------------
@@ -169,15 +171,13 @@ def build_empty(n: int) -> ConstructionResult:
 
 from drn import fixtures as _fx
 
-NEARLY_PATTERNS = ("P3", "TwoK2", "K3", "P4", "P3uP2")
-
 # row orders mapping each stored certificate to the standard family labeling
 _SMALL_NEARLY = {
     ("P3", 3): ("k3_minus_p3_width3", (1, 3, 2)),
     ("P3", 4): ("k4_minus_p3_width4", (1, 4, 2, 3)),
-    ("TwoK2", 4): ("k4_minus_2k2_width4", (1, 2, 3, 4)),
-    ("TwoK2", 5): ("k5_minus_2k2_width5", (1, 2, 3, 4, 5)),
-    ("TwoK2", 6): ("k6_minus_2k2_width6", (1, 2, 3, 4, 5, 6)),
+    ("2K2", 4): ("k4_minus_2k2_width4", (1, 2, 3, 4)),
+    ("2K2", 5): ("k5_minus_2k2_width5", (1, 2, 3, 4, 5)),
+    ("2K2", 6): ("k6_minus_2k2_width6", (1, 2, 3, 4, 5, 6)),
     ("K3", 4): ("k4_minus_k3_width4", (1, 2, 3, 4)),
     ("K3", 5): ("k5_minus_k3_width5", (1, 2, 3, 4, 5)),
     ("K3", 6): ("k6_minus_k3_width6", (1, 2, 3, 4, 5, 6)),
@@ -188,28 +188,26 @@ _SMALL_NEARLY = {
     ("P3uP2", 6): ("k6_minus_p3p2_width5", (3, 6, 4, 1, 2, 5)),
 }
 
-_NEARLY_FAMILY = {
-    "P3": lambda n: FamilySpec("minus_path", (n, 3)),
-    "TwoK2": lambda n: FamilySpec("minus_2k2", (n,)),
-    "K3": lambda n: FamilySpec("minus_clique", (n, 3)),
-    "P4": lambda n: FamilySpec("minus_path", (n, 4)),
-    "P3uP2": lambda n: FamilySpec("minus_p3p2", (n,)),
-}
-
-_NEARLY_MIN_N = {"P3": 3, "TwoK2": 4, "K3": 4, "P4": 4, "P3uP2": 5}
-
 
 def nearly_complete_width(pattern: str, n: int) -> int:
-    """The exact representation number of the nearly complete family."""
+    """The exact representation number of K_n minus the pattern (grammar
+    names P3, 2K2, K3, P4, P3uP2)."""
     if pattern == "P3":
         return n if n <= 4 else n - 1
-    if pattern in ("TwoK2", "K3"):
+    if pattern == "K3" and n < 4:
+        raise ValueError("K_n - K3 needs n >= 4 to be nearly complete")
+    if pattern in ("2K2", "K3"):
         return n if n <= 6 else n - 1
     if pattern == "P4":
         return 4 if n == 4 else n - 1
     if pattern == "P3uP2":
         return n - 1
     raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def _near_tag(pattern: str) -> str:
+    """The theorem tag shared by the bounds report and the certificate."""
+    return f"near-complete-{pattern.lower()}"
 
 
 def _rotated(seq: list[int], s: int) -> tuple[int, ...]:
@@ -224,13 +222,9 @@ def build_nearly_complete(n: int, pattern: str) -> ConstructionResult:
     2, and append the final row, then reorder rows to the standard labeling
     (pattern on the first vertices).
     """
-    if pattern not in NEARLY_PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    if n < _NEARLY_MIN_N[pattern]:
-        raise ValueError(f"pattern {pattern} needs n >= {_NEARLY_MIN_N[pattern]}")
-    g = build_family(_NEARLY_FAMILY[pattern](n))
-    width = nearly_complete_width(pattern, n)
-    tag = f"near-complete-{pattern.lower()}"
+    width = nearly_complete_width(pattern, n)  # refuses unknown patterns
+    g = graph_from_spec_text(f"K{n}-{pattern}")  # refuses orders below the pattern's
+    tag = _near_tag(pattern)
 
     if (pattern, n) in _SMALL_NEARLY:
         name, order = _SMALL_NEARLY[(pattern, n)]
@@ -239,46 +233,31 @@ def build_nearly_complete(n: int, pattern: str) -> ConstructionResult:
 
     m = n - 1  # constructed width
     if pattern == "P3":
-        r1 = identity(m)
-        r2 = (2, 1, m) + tuple(range(3, m))
-        sq = prescribe_rows([r1, r2], m)
-        rows = list(sq.cells)
-        rows.append((1, 2) + r2[2:])
+        pins = [identity(m), (2, 1, m) + tuple(range(3, m))]
+        second, last = pins[1], (1, 2) + pins[1][2:]
         order = [1, n] + list(range(2, n))
-    elif pattern == "TwoK2":
+    elif pattern == "2K2":
         tail = list(range(4, m + 1))
-        r1, r2, r3 = identity(m), (3, 1, 2) + _rotated(tail, 1), (2, 3, 1) + _rotated(tail, 2)
-        sq = prescribe_rows([r1, r2, r3], m)
-        rows = list(sq.cells)
-        rows[1] = (1, 2, 3) + r2[3:]
-        rows.append((3, 1, 2) + r3[3:])
+        pins = [identity(m), (3, 1, 2) + _rotated(tail, 1), (2, 3, 1) + _rotated(tail, 2)]
+        second, last = (1, 2, 3) + pins[1][3:], (3, 1, 2) + pins[2][3:]
         order = [1, 2, 3, n] + list(range(4, n))
     elif pattern == "K3":
-        tail = list(range(5, m + 1))
-        r1, r2 = identity(m), (2, 1, 4, 3) + _rotated(tail, 1)
-        sq = prescribe_rows([r1, r2], m)
-        rows = list(sq.cells)
-        rows[1] = (1, 2, 4, 3) + r2[4:]
-        rows.append((2, 1, 3, 4) + r2[4:])
+        pins = [identity(m), (2, 1, 4, 3) + _rotated(list(range(5, m + 1)), 1)]
+        second, last = (1, 2, 4, 3) + pins[1][4:], (2, 1, 3, 4) + pins[1][4:]
         order = [1, 2, n] + list(range(3, n))
     elif pattern == "P4":
         tail = list(range(4, m + 1))
-        r1, r2, r3 = identity(m), (2, 3, 1) + _rotated(tail, 1), (3, 1, 2) + _rotated(tail, 2)
-        sq = prescribe_rows([r1, r2, r3], m)
-        rows = list(sq.cells)
-        rows[1] = (1, 2, 3) + r2[3:]
-        rows.append((3, 1, 2) + r2[3:])
+        pins = [identity(m), (2, 3, 1) + _rotated(tail, 1), (3, 1, 2) + _rotated(tail, 2)]
+        second, last = (1, 2, 3) + pins[1][3:], (3, 1, 2) + pins[1][3:]
         order = [1, 2, n, 3] + list(range(4, n))
     else:  # P3uP2
-        r1 = identity(m)
-        r2 = (2, 1) + _rotated(list(range(3, m + 1)), 1)
-        r3 = (3, 4) + tuple(range(5, m + 1)) + (1, 2)
-        r4 = (4, 3) + tuple(range(6, m + 1)) + (1, 2, 5)
-        sq = prescribe_rows([r1, r2, r3, r4], m)
-        rows = list(sq.cells)
-        rows[1] = (1, 2) + r2[2:]
-        rows.append((3, 4) + r4[2:])
+        pins = [identity(m), (2, 1) + _rotated(list(range(3, m + 1)), 1),
+                (3, 4) + tuple(range(5, m + 1)) + (1, 2), (4, 3) + tuple(range(6, m + 1)) + (1, 2, 5)]
+        second, last = (1, 2) + pins[1][2:], (3, 4) + pins[3][2:]
         order = [3, n, 4, 1, 2] + list(range(5, n))
+    rows = list(prescribe_rows(pins, m).cells)
+    rows[1] = second
+    rows.append(last)
     return _certify(g, _reorder(rows, order), width, tag)
 
 
@@ -554,16 +533,18 @@ def build_cycle(n: int) -> ConstructionResult:
 
 
 def build_path(n: int) -> ConstructionResult:
-    """Path certificate at width ceil(n/2)+1 for n >= 5 (shorter paths are
-    served by stored certificates through the bounds engine)."""
-    if n < 5:
-        raise ValueError("path construction needs n >= 5")
+    """Path certificate at path_width(n): ceil(n/2)+1 for n >= 5.  Orders up
+    to 8 take the leading rows of a stored certificate (P2 is K2, and the
+    first three rows of the stored C4 are a P3)."""
+    if n < 2:
+        raise ValueError("path needs n >= 2")
+    if n == 2:
+        return build_complete(2)
     g = build_family(FamilySpec("path", (n,)))
     width = path_width(n)
-    if n <= 6:
-        return _certify(g, _FROZEN["P8@4"][:n], width, "frozen-certificate-path")
     if n <= 8:
-        return _certify(g, _FROZEN["P9@5"][:n], width, "frozen-certificate-path")
+        frozen = "C4@4" if n == 3 else "P8@4" if n <= 6 else "P9@5"
+        return _certify(g, _FROZEN[frozen][:n], width, "frozen-certificate-path")
 
     k = (n + 1) // 2
     m = _block_idempotent(k)
@@ -597,21 +578,6 @@ def build_complete_minus_clique(n: int, r: int) -> ConstructionResult:
     return _certify(g, rows, n, "clique-removal")
 
 
-# Small-path service used by the bounds engine ------------------------------
-
-def path_certificate(n: int) -> ConstructionResult:
-    if n < 2:
-        raise ValueError("path certificate needs n >= 2")
-    if n == 2:
-        return build_complete(2)
-    g = build_family(FamilySpec("path", (n,)))
-    if n == 3:
-        return _certify(g, _fx.get("p3_width4").rows, 4, "frozen-certificate-path")
-    if n == 4:
-        return _certify(g, _FROZEN["P8@4"][:4], 4, "frozen-certificate-path")
-    return build_path(n)
-
-
 # Bounds engine ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -635,184 +601,133 @@ def intersecting_family_lower(alpha: int) -> int:
     return t
 
 
-def _neighbors(g: Graph, v: int) -> list[int]:
+def _walks(h: Graph) -> tuple[list[list[int]], list[list[int]]] | None:
+    """The components of a graph of maximum degree 2 as vertex walks (None
+    when some degree exceeds 2): the paths, isolated vertices included, each
+    from its lesser end, then the cycles, each from its least vertex towards
+    its lesser neighbour; both in order of the first vertex."""
+    degrees = [h.degree(v) for v in range(h.n)]
+    if max(degrees) > 2:
+        return None
+    paths: list[list[int]] = []
+    cycles: list[list[int]] = []
+    ends = [v for v in range(h.n) if degrees[v] < 2]
+    seen = 0
+    for walks, starts in ((paths, ends), (cycles, range(h.n))):
+        for v in starts:
+            if seen >> v & 1:
+                continue
+            walk = [v]
+            seen |= 1 << v
+            while step := h.adj[walk[-1]] & ~seen:
+                step &= -step  # the least unvisited neighbour
+                walk.append(step.bit_length() - 1)
+                seen |= step
+            walks.append(walk)
+    return paths, cycles
+
+
+def _families(g: Graph, h: Graph) -> list[tuple[FamilySpec, list[int]]]:
+    """The grammar families of g (neither complete nor empty; h is its
+    complement), each with the vertices of g that play the family's standard
+    vertices 1, 2, ... in order; the other vertices follow in ascending order."""
+    n = g.n
     out = []
-    row = g.adj[v]
-    while row:
-        low = row & -row
-        out.append(low.bit_length() - 1)
-        row ^= low
+    walks = _walks(g)
+    if walks is not None:
+        paths, cycles = walks
+        if not cycles and len(paths) == 1:
+            out.append((FamilySpec("path", (n,)), paths[0]))
+        if not paths and len(cycles) == 1:
+            out.append((FamilySpec("cycle", (n,)), cycles[0]))
+
+    pattern = [v for v in range(n) if h.adj[v]]
+    mask = sum(1 << v for v in pattern)
+    if all(h.adj[v] | 1 << v == mask for v in pattern):
+        out.append((FamilySpec("minus_clique", (n, len(pattern))), pattern))
+        return out
+    walks = _walks(h)
+    if walks is None:
+        return out
+    # longest first (P3 before P2); the sort is stable, so 2K2 keeps walk order
+    paths = sorted((p for p in walks[0] if len(p) > 1), key=len, reverse=True)
+    cycles = walks[1]
+    shape = (tuple(map(len, paths)), len(cycles))
+    if shape == ((len(pattern),), 0):
+        spec = FamilySpec("minus_path", (n, len(pattern)))
+    elif shape == ((), 1):
+        spec = FamilySpec("minus_cycle", (n, len(pattern)))
+    elif shape == ((2, 2), 0):
+        spec = FamilySpec("minus_2k2", (n,))
+    elif shape == ((3, 2), 0):
+        spec = FamilySpec("minus_p3p2", (n,))
+    else:
+        return out
+    out.append((spec, sum(paths + cycles, [])))
     return out
 
 
-def _detect_path_order(g: Graph) -> list[int] | None:
-    if g.n < 2 or g.q != g.n - 1:
-        return None
-    degs = [g.degree(v) for v in range(g.n)]
-    ends = [v for v in range(g.n) if degs[v] == 1]
-    if len(ends) != 2 or any(d not in (1, 2) for d in degs):
-        return None
-    order = [min(ends)]
-    prev = -1
-    while len(order) < g.n:
-        nxt = [w for w in _neighbors(g, order[-1]) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(set(order)) == g.n else None
+def _constructions(spec: FamilySpec) -> list[tuple[int, str, Callable[[], ConstructionResult]]]:
+    """(width, tag, build) for each construction of the family; build gives
+    the certificate in the family's standard labelling."""
+    kind, (n, *rest) = spec.kind, spec.params
+
+    def near(pattern: str):
+        return (nearly_complete_width(pattern, n), _near_tag(pattern),
+                lambda: build_nearly_complete(n, pattern))
+
+    if kind == "path":
+        return [(path_width(n), "path-certificate", lambda: build_path(n))]
+    if kind == "cycle":
+        return [(cycle_width(n), "cycle-certificate", lambda: build_cycle(n))]
+    if kind == "minus_2k2":
+        return [near("2K2")]
+    if kind == "minus_p3p2":
+        return [near("P3uP2")]
+    (r,) = rest
+    if kind == "minus_path":
+        if r <= 4:
+            return [near(f"P{r}")]
+        return [(n, "circulant-flips-path", lambda: build_complete_minus_path(n, r))]
+    if kind == "minus_cycle":
+        return [(n, "cycle-removal", lambda: build_complete_minus_cycle(n, r))]
+    out = []  # minus_clique
+    if r == 2 and n >= 4:
+        out.append((n, _near_tag("K2"), lambda: build_complete_minus_k2(n)))
+    if r == 3:
+        out.append(near("K3"))
+    if r >= 3:
+        out.append((max(n, 2 * r), "clique-removal", lambda: build_complete_minus_clique(n, r)))
+    return out
 
 
-def _detect_cycle_order(g: Graph) -> list[int] | None:
-    if g.n < 3 or g.q != g.n or any(g.degree(v) != 2 for v in range(g.n)):
-        return None
-    order = [0, min(_neighbors(g, 0))]
-    while len(order) < g.n:
-        nxt = [w for w in _neighbors(g, order[-1]) if w != order[-2]]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-    if len(set(order)) != g.n or not g.has_edge(order[-1], order[0]):
-        return None
-    return order
-
-
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        stack, comp = [v], []
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in _neighbors(g, u):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _complement_pattern(g: Graph) -> tuple[str, list[int]] | None:
-    """Classify the complement's non-isolated part as one of the removed
-    patterns; returns (pattern kind, pattern vertices in standard order)."""
-    h = g.complement()
-    w = [v for v in range(g.n) if h.degree(v) > 0]
-    if not w:
-        return None
-    sub = h.induced(w)
-    r = len(w)
-
-    if sub.is_complete():
-        return ("clique", w)
-    if r == 4 and sub.q == 2 and all(sub.degree(v) == 1 for v in range(4)):
-        es = sorted((min(a, b), max(a, b)) for a, b in sub.edges())
-        return ("2k2", [w[es[0][0]], w[es[0][1]], w[es[1][0]], w[es[1][1]]])
-    porder = _detect_path_order(sub)
-    if porder is not None:
-        kind = {3: "p3", 4: "p4"}.get(r, "pk")
-        return (kind, [w[v] for v in porder])
-    corder = _detect_cycle_order(sub)
-    if corder is not None:
-        return ("ck", [w[v] for v in corder])
-    if r == 5 and sub.q == 3:
-        comps = _components(sub)
-        sizes = sorted(len(c) for c in comps)
-        if sizes == [2, 3]:
-            tri = next(c for c in comps if len(c) == 3)
-            pair = next(c for c in comps if len(c) == 2)
-            p3 = _detect_path_order(sub.induced(tri))
-            if p3 is not None:
-                return ("p3p2", [w[tri[i]] for i in p3] + [w[v] for v in pair])
-    return None
-
-
-def _relabeled(res: ConstructionResult, g: Graph, std_of: list[int]) -> ConstructionResult:
-    """Reorder rows of a standard-labeling certificate for g's own labeling:
-    vertex v of g plays standard vertex std_of[v] (0-based)."""
-    rows = tuple(res.matrix.rows[std_of[v]] for v in range(g.n))
+def _relabeled(res: ConstructionResult, g: Graph, pattern: list[int]) -> ConstructionResult:
+    """A standard-labelling certificate with its rows moved to g's labelling:
+    the pattern vertices take the first rows in order, the rest follow."""
+    chosen = set(pattern)
+    order = pattern + [v for v in range(g.n) if v not in chosen]
+    rows = [()] * g.n
+    for v, row in zip(order, res.matrix.rows):
+        rows[v] = row
     return _certify(g, rows, res.claimed_width, res.theorem)
 
 
-def _pattern_std_map(g: Graph, patt_vertices: list[int]) -> list[int]:
-    """std index per vertex: pattern vertices first (in pattern order), the
-    rest ascending."""
-    rest = [v for v in range(g.n) if v not in set(patt_vertices)]
-    ordered = patt_vertices + rest
-    std_of = [0] * g.n
-    for idx, v in enumerate(ordered):
-        std_of[v] = idx
-    return std_of
-
-
-def _upper_candidates(g: Graph) -> list[tuple[int, str, object]]:
+def _upper_candidates(g: Graph) -> list[tuple[int, str, Callable[[], ConstructionResult]]]:
     """(width, tag, realize) candidates; family-specific constructions first."""
     n = g.n
-    out: list[tuple[int, str, object]] = []
-
     if g.is_complete():
-        out.append((n, "latin-square", lambda: build_complete(n)))
-        return out
+        return [(n, "latin-square", lambda: build_complete(n))]
     if g.is_empty():
         res = build_empty(n)  # cheap; width needs k anyway
-        out.append((res.claimed_width, res.theorem, lambda: res))
-        return out
-
-    porder = _detect_path_order(g)
-    if porder is not None:
-        pmap = _pattern_std_map(g, porder)
-        out.append((path_width(n), "path-certificate",
-                    lambda s=pmap: _relabeled(path_certificate(n), g, s)))
-    corder = _detect_cycle_order(g)
-    if corder is not None:
-        cmap = _pattern_std_map(g, corder)
-        out.append((cycle_width(n), "cycle-certificate",
-                    lambda s=cmap: _relabeled(build_cycle(n), g, s)))
-
-    patt = _complement_pattern(g)
-    if patt is not None:
-        kind, verts = patt
-        std_of = _pattern_std_map(g, verts)
-        r = len(verts)
-        if kind == "clique":
-            if r == 2 and n >= 4:
-                out.append((n, "near-complete-k2",
-                            lambda s=std_of: _relabeled(build_complete_minus_k2(n), g, s)))
-            if r == 3 and n >= 4:
-                out.append((nearly_complete_width("K3", n), "near-complete-k3",
-                            lambda s=std_of: _relabeled(build_nearly_complete(n, "K3"), g, s)))
-            if r >= 3:
-                out.append((max(n, 2 * r), "clique-removal",
-                            lambda s=std_of: _relabeled(build_complete_minus_clique(n, r), g, s)))
-        elif kind == "2k2" and n >= 4:
-            out.append((nearly_complete_width("TwoK2", n), "near-complete-2k2",
-                        lambda s=std_of: _relabeled(build_nearly_complete(n, "TwoK2"), g, s)))
-        elif kind == "p3":
-            out.append((nearly_complete_width("P3", n), "near-complete-p3",
-                        lambda s=std_of: _relabeled(build_nearly_complete(n, "P3"), g, s)))
-        elif kind == "p4":
-            out.append((nearly_complete_width("P4", n), "near-complete-p4",
-                        lambda s=std_of: _relabeled(build_nearly_complete(n, "P4"), g, s)))
-        elif kind == "p3p2" and n >= 5:
-            out.append((nearly_complete_width("P3uP2", n), "near-complete-p3p2",
-                        lambda s=std_of: _relabeled(build_nearly_complete(n, "P3uP2"), g, s)))
-        elif kind == "pk":
-            out.append((n, "circulant-flips-path",
-                        lambda s=std_of: _relabeled(build_complete_minus_path(n, r), g, s)))
-        elif kind == "ck":
-            out.append((n, "cycle-removal",
-                        lambda s=std_of: _relabeled(build_complete_minus_cycle(n, r), g, s)))
-
+        return [(res.claimed_width, res.theorem, lambda: res)]
     comp = g.complement()
+    out = [(width, tag, lambda b=build, p=pattern: _relabeled(b(), g, p))
+           for spec, pattern in _families(g, comp) for width, tag, build in _constructions(spec)]
     if comp.q >= 2:
         d = greedy_clique_decomposition(comp)
         if len(d.cliques) >= 2:
             width = len(d.cliques) * (n + 1) - sum(len(c) for c in d.cliques)
-            out.append((width, "clique-decomposition",
-                        lambda: build_clique_decomposition(g, d)))
+            out.append((width, "clique-decomposition", lambda: build_clique_decomposition(g, d)))
         out.append(((n - 1) * comp.q, "edge-blocks", lambda: build_edge_blocks(g)))
     return out
 

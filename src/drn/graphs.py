@@ -8,10 +8,9 @@ vertex indices.  Graphs are immutable after construction.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -398,10 +397,6 @@ def greedy_clique_decomposition(g: Graph) -> CliqueDecomposition:
 # Isomorphism-free enumeration of small orders ----------------------------
 
 MAX_ENUM_ORDER = 6
-# The number of non-isomorphic graphs of each order n <= 6 (OEIS A000088).
-GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-
-_enum_cache: dict[int, list[Graph]] = {}
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -412,29 +407,16 @@ def _mask_to_graph(n: int, mask: int, slots: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges(n, [e for b, e in enumerate(slots) if mask >> b & 1])
 
 
-def nonisomorphic_graphs(n: int) -> list[Graph]:
+@cache
+def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All non-isomorphic simple graphs of order n (n <= 6), deterministic order.
 
     Labeled graphs are deduplicated under all n! vertex permutations; the
     representative of each class is its numerically smallest edge mask.
-    Cached in memory and, when DRN_CACHE_DIR is set, on disk as graph6 lines.
-    A disk cache that does not hold GRAPH_COUNTS[n] graphs of order n is
-    recomputed and rewritten; writes go through a temporary file and an
-    atomic rename, so a reader never sees a partial file.
+    Cached in memory for the life of the process.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
-    if n in _enum_cache:
-        return _enum_cache[n]
-
-    cache_dir = os.environ.get("DRN_CACHE_DIR")
-    cache_path = os.path.join(cache_dir, f"order{n}.g6") if cache_dir else None
-    if cache_path:
-        graphs = _read_enum_cache(cache_path, n)
-        if graphs is not None:
-            _enum_cache[n] = graphs
-            return graphs
-
     slots = _edge_slots(n)
     slot_index = {e: b for b, e in enumerate(slots)}
     perm_maps = []
@@ -456,32 +438,7 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                 img |= 1 << pm[low.bit_length() - 1]
                 rest ^= low
             seen[img] = 1
-    graphs = [_mask_to_graph(n, mask, slots) for mask in reps]
-
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".order{n}.", suffix=".tmp", dir=cache_dir)
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.writelines(graph6_encode(g) + "\n" for g in graphs)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    _enum_cache[n] = graphs
-    return graphs
-
-
-def _read_enum_cache(path: str, n: int) -> list[Graph] | None:
-    """The cached graphs of order n, or None when the file is missing or wrong."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            graphs = [graph6_decode(line) for line in fh if line.strip()]
-    except (OSError, ValueError):
-        return None
-    if len(graphs) != GRAPH_COUNTS[n] or any(g.n != n for g in graphs):
-        return None
-    return graphs
+    return tuple(_mask_to_graph(n, mask, slots) for mask in reps)
 
 
 def data_lines(text: str) -> list[str]:

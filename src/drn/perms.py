@@ -43,29 +43,11 @@ def identity(k: int) -> Perm:
     return tuple(range(1, k + 1))
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(i) = a(b(i)).
-
-    >>> compose((2, 3, 1), (3, 1, 2))
-    (1, 2, 3)
-    """
-    if len(a) != len(b):
-        raise ValueError("degree mismatch")
-    return tuple(a[x - 1] for x in b)
-
-
 def inverse(a: Perm) -> Perm:
     inv = [0] * len(a)
     for i, x in enumerate(a):
         inv[x - 1] = i + 1
     return tuple(inv)
-
-
-def disagree_everywhere(a: Perm, b: Perm) -> bool:
-    """True iff a(i) != b(i) for all i; equivalently inverse(a) o b is a derangement."""
-    if len(a) != len(b):
-        raise ValueError("degree mismatch")
-    return all(x != y for x, y in zip(a, b))
 
 
 def rank_perm(a: Perm) -> int:

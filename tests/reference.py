@@ -1,15 +1,30 @@
 """Plain reference code the tests compare the program against.
 
 Nothing here is used by ``drn`` itself: each helper is the slow, obvious
-version of a fact the tests check (a decision by enumeration, a relabelling,
-a symmetry action on a matrix).
+version of a fact the tests check (permutation composition and the
+adjacency test, a decision by enumeration, a relabelling, a symmetry action
+on a matrix).
 """
 
 from itertools import permutations
 
 from drn.graphs import CliqueDecomposition, Graph
 from drn.matrices import RepresentationMatrix
-from drn.perms import all_perms, compose, disagree_everywhere, inverse
+from drn.perms import Perm, all_perms, inverse
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """(a o b)(i) = a(b(i))."""
+    if len(a) != len(b):
+        raise ValueError("degree mismatch")
+    return tuple(a[x - 1] for x in b)
+
+
+def disagree_everywhere(a: Perm, b: Perm) -> bool:
+    """True iff a(i) != b(i) for all i; equivalently inverse(a) o b is a derangement."""
+    if len(a) != len(b):
+        raise ValueError("degree mismatch")
+    return all(x != y for x, y in zip(a, b))
 
 
 def brute_force_oracle(g: Graph, k: int) -> bool:

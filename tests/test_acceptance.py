@@ -271,7 +271,7 @@ def test_criterion_08_construction_sweep():
                 check(build_clique_decomposition(g, d), len(d.cliques) * (n - 1))
     for n in range(1, 25):
         build_empty(n)
-    for pattern, lo in (("P3", 3), ("TwoK2", 4), ("K3", 4), ("P4", 4), ("P3uP2", 5)):
+    for pattern, lo in (("P3", 3), ("2K2", 4), ("K3", 4), ("P4", 4), ("P3uP2", 5)):
         for n in range(lo, 13):
             check(build_nearly_complete(n, pattern), nearly_complete_width(pattern, n))
     for k in range(5, 13):

