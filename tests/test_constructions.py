@@ -1,6 +1,5 @@
 import pytest
 
-from drn import fixtures
 from drn.constructions import (
     bounds,
     best_certificate,
@@ -8,10 +7,8 @@ from drn.constructions import (
     build_complete,
     build_complete_minus_clique,
     build_complete_minus_cycle,
-    build_complete_minus_k2,
     build_complete_minus_path,
     build_cycle,
-    build_edge_blocks,
     build_empty,
     build_nearly_complete,
     build_path,
@@ -26,6 +23,7 @@ from drn.graphs import (
     nonisomorphic_graphs,
 )
 from drn.matrices import read_matrix, verify
+import fixtures
 from reference import edge_cliques, relabel
 
 
@@ -48,26 +46,27 @@ def test_complete(n):
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_complete_minus_k2(n):
-    check(build_complete_minus_k2(n), n)
+    # complete minus one edge is K_n - K_r at r = 2
+    check(build_complete_minus_clique(n, 2), n)
 
 
-def test_complete_minus_k2_requires_four():
-    with pytest.raises(ValueError):
-        build_complete_minus_k2(3)
+def edge_blocks(g):
+    """The complement-edge blocks: the decomposition into single edges."""
+    return build_clique_decomposition(g, edge_cliques(g.complement()))
 
 
 def test_edge_blocks_examples():
-    check(build_edge_blocks(G("E3")), 6)
-    check(build_edge_blocks(G("C4")), 6)
-    with pytest.raises(ValueError, match="two complement edges"):
-        build_edge_blocks(G("P3"))
+    check(edge_blocks(G("E3")), 6)
+    check(edge_blocks(G("C4")), 6)
+    with pytest.raises(ValueError, match="two cliques"):
+        edge_blocks(G("P3"))
 
 
 def test_edge_blocks_small_corpus():
     for n in range(3, 6):
         for g in nonisomorphic_graphs(n):
             if g.complement().q >= 2:
-                check(build_edge_blocks(g), (n - 1) * g.complement().q)
+                check(edge_blocks(g), (n - 1) * g.complement().q)
 
 
 def test_clique_decomposition_examples():
@@ -101,7 +100,7 @@ def test_clique_decomposition_dominates_edge_blocks():
             if len(d.cliques) < 2 or max(len(c) for c in d.cliques) < 3:
                 continue
             wd = build_clique_decomposition(g, d).claimed_width
-            we = build_edge_blocks(g).claimed_width
+            we = edge_blocks(g).claimed_width
             assert wd <= we
 
 
@@ -276,6 +275,7 @@ def test_best_certificate_on_relabeled_graphs():
         cert = best_certificate(h)
         assert verify(h, cert.matrix).valid
         assert cert.claimed_width == bounds(g).upper
+        assert cert.theorem == bounds(h).upper_provenance
         if tag is not None:
             assert bounds(h).upper_provenance == bounds(g).upper_provenance == tag
 

@@ -4,8 +4,9 @@ whose corrected variants must verify."""
 
 import pytest
 
-from drn import fixtures
+from drn.constructions import _STORED
 from drn.matrices import verify
+import fixtures
 
 ALL_NAMES = sorted(fixtures.FIXTURES)
 
@@ -62,3 +63,28 @@ def test_fixture_widths():
     }
     for name, k in widths.items():
         assert fixtures.get(name).matrix().k == k
+
+
+def test_stored_nearly_complete_certificates_are_the_published_ones():
+    # each stored nearly complete certificate is its published fixture's
+    # verifying variant (the correction for K5-K3), rows put in the family's
+    # standard labelling: row for vertex i is the published row order[i]
+    sources = {
+        "K3-P3": ("k3_minus_p3_width3", (1, 3, 2)),
+        "K4-P3": ("k4_minus_p3_width4", (1, 4, 2, 3)),
+        "K4-2K2": ("k4_minus_2k2_width4", (1, 2, 3, 4)),
+        "K5-2K2": ("k5_minus_2k2_width5", (1, 2, 3, 4, 5)),
+        "K6-2K2": ("k6_minus_2k2_width6", (1, 2, 3, 4, 5, 6)),
+        "K4-K3": ("k4_minus_k3_width4", (1, 2, 3, 4)),
+        "K5-K3": ("k5_minus_k3_width5", (1, 2, 3, 4, 5)),
+        "K6-K3": ("k6_minus_k3_width6", (1, 2, 3, 4, 5, 6)),
+        "K4-P4": ("k4_minus_p4_width4", (3, 1, 4, 2)),
+        "K5-P4": ("k5_minus_p4_width4", (4, 2, 5, 3, 1)),
+        "K6-P4": ("k6_minus_p4_width5", (4, 1, 2, 3, 5, 6)),
+        "K5-P3uP2": ("k5_minus_p3p2_width4", (3, 5, 4, 1, 2)),
+        "K6-P3uP2": ("k6_minus_p3p2_width5", (3, 6, 4, 1, 2, 5)),
+    }
+    assert sorted(sources) == sorted(spec for spec in _STORED if "-" in spec)
+    for spec, (name, order) in sources.items():
+        rows = fixtures.get(name).best_matrix().rows
+        assert _STORED[spec] == tuple(rows[i - 1] for i in order), spec

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from drn import fixtures
 from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
 from drn.latin import circulant, idempotent
 from drn.matrices import (
@@ -17,6 +16,7 @@ from drn.matrices import (
     write_matrix,
 )
 from drn.perms import all_perms
+import fixtures
 from reference import normalize, permute_columns, relabel, relabel_symbols
 
 

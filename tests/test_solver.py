@@ -27,7 +27,7 @@ from drn.solver import (
     solve_drn,
     survey,
 )
-from reference import brute_force_oracle, compose, disagree_everywhere
+from reference import brute_force_oracle, compose, disagree_everywhere, induced
 
 
 def G(spec):
@@ -175,6 +175,12 @@ def test_differential_against_unreduced_search():
                 assert (is_k_representable(g, k)[0] == "yes") == _unreduced_search(g, k), (g, k)
 
 
+@pytest.mark.slow
+def test_differential_order_six_width_five():
+    for g in nonisomorphic_graphs(6):
+        assert (is_k_representable(g, 5)[0] == "yes") == _unreduced_search(g, 5), g
+
+
 def test_orbit_pruning_keeps_every_verdict_and_witness(monkeypatch):
     # the orbit rule only skips failing subtrees: against the same search with
     # trivial stabilisers, the verdict and the witness are identical
@@ -275,7 +281,7 @@ def test_induced_subgraph_monotonicity_random():
         g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
         m = rng.randint(1, n)
         vs = sorted(rng.sample(range(n), m))
-        h = g.induced(vs)
+        h = induced(g, vs)
         assert solve_drn(g).drn >= solve_drn(h).drn
         seen += 1
 
