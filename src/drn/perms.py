@@ -18,6 +18,8 @@ from typing import Sequence
 Perm = tuple[int, ...]
 
 MAX_ENUM_DEGREE = 12
+# 0! .. MAX_ENUM_DEGREE!, the place values of the factorial number system
+_FACTORIALS = tuple(factorial(i) for i in range(MAX_ENUM_DEGREE + 1))
 
 
 def is_perm(images: Sequence[int]) -> bool:
@@ -57,11 +59,13 @@ def rank_perm(a: Perm) -> int:
     0
     """
     k = len(a)
+    if k > MAX_ENUM_DEGREE:
+        raise ValueError(f"degree {k} exceeds enumeration cap {MAX_ENUM_DEGREE}")
     rank = 0
     seen = 0  # bitmask of already-placed values (1-based bits)
     for i, x in enumerate(a):
-        smaller_unused = x - 1 - bin(seen & ((1 << x) - 1)).count("1")
-        rank += smaller_unused * factorial(k - 1 - i)
+        smaller_unused = x - 1 - (seen & ((1 << x) - 1)).bit_count()
+        rank += smaller_unused * _FACTORIALS[k - 1 - i]
         seen |= 1 << x
     return rank
 
@@ -70,13 +74,14 @@ def unrank_perm(rank: int, k: int) -> Perm:
     """Inverse of rank_perm: the rank-th permutation of S_k in lexicographic order."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    if not 0 <= rank < factorial(k):
+    if k > MAX_ENUM_DEGREE:
+        raise ValueError(f"degree {k} exceeds enumeration cap {MAX_ENUM_DEGREE}")
+    if not 0 <= rank < _FACTORIALS[k]:
         raise ValueError(f"rank {rank} out of range for degree {k}")
     avail = list(range(1, k + 1))
     out = []
-    for i in range(k, 0, -1):
-        f = factorial(i - 1)
-        idx, rank = divmod(rank, f)
+    for i in range(k - 1, -1, -1):
+        idx, rank = divmod(rank, _FACTORIALS[i])
         out.append(avail.pop(idx))
     return tuple(out)
 

@@ -46,6 +46,17 @@ bitset candidate propagation, under three symmetry reductions:
 
 Refutations are exhaustive under exactly these three reductions.
 
+Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
+1980).  Each assignment narrows the candidate sets of the unassigned
+vertices, kept in ``graphs.degree_order``, in one pass; an emptied set ends
+the branch, else the search branches next on the vertex with the fewest
+candidates, the earliest in degree order on a tie (so v1 comes first in
+degree order, and v2 is its first neighbour if it has one).  Children get
+fresh lists, so backtracking restores nothing.  No reduction depends on this
+order: translation and conjugation hold for whichever vertices come first,
+and the orbit rule is about completions of the images assigned so far, not
+about the order in which the search meets the remaining vertices.
+
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
 For each position i and value v, the mask M[i][v] is the set of ranks q with
@@ -285,81 +296,67 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
     """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict and,
     for "yes", the image of every vertex in vertex order."""
     full = (1 << factorial(k)) - 1
-    order = degree_order(g)
-    static_rank = {v: i for i, v in enumerate(order)}
-    v1 = order[0]
-    assigned: dict[int, int] = {v1: 0}  # the identity, rank 0
-    assigned_mask = 1 << v1
-    cands = {u: full for u in range(g.n) if u != v1}
+    images: dict[int, int] = {}
 
-    def pick_next() -> int:
-        best_v, best_key = -1, (-1, 0)
-        for u in cands:
-            key = ((g.adj[u] & assigned_mask).bit_count(), -static_rank[u])
-            if key > best_key:
-                best_v, best_key = u, key
-        return best_v
-
-    def assign(u: int, r: int) -> dict[int, int]:
-        """Prune candidate masks of the unassigned vertices; returns the saved masks."""
-        saved = {}
+    def branch(rest: list[int], masks: list[int], u: int, r: int):
+        """Propagate u = r to the unassigned vertices ``rest`` (in degree
+        order) with candidate sets ``masks``.  Returns None on a wipe-out,
+        else the vertex with the fewest candidates (the earliest on a tie),
+        its candidates, and the other vertices and their candidates."""
         non = _agreement(k, r)
         row = full ^ non
         non ^= 1 << r
-        adj_u = g.adj[u]
-        for w in cands:
-            saved[w] = cands[w]
-            cands[w] &= row if (adj_u >> w) & 1 else non
-        return saved
+        adj = g.adj[u]
+        new = [m & (row if adj >> w & 1 else non) for w, m in zip(rest, masks)]
+        sizes = list(map(int.bit_count, new))
+        least = min(sizes)
+        if not least:
+            return None
+        i = sizes.index(least)
+        return rest[i], new[i], rest[:i] + rest[i + 1:], new[:i] + new[i + 1:]
 
-    def dfs(rep_mask: int | None, stab: _Stabiliser | None) -> str:
-        """Assign the next vertex.  stab holds the group fixing every image
-        assigned so far (None at the second vertex, whose candidates are
-        restricted to rep_mask, one per class)."""
-        nonlocal assigned_mask
-        u = pick_next()
-        my_cands = cands.pop(u)
-        bits = my_cands if rep_mask is None else my_cands & rep_mask
-        assigned_mask |= 1 << u
+    def dfs(u: int, bits: int, rest: list[int], masks: list[int], stab: _Stabiliser | None) -> str:
+        """Try every candidate rank in bits for u.  stab holds the group
+        fixing every image assigned so far (None at the second vertex, whose
+        candidates are one per class)."""
         while bits:
             low = bits & -bits
             r = low.bit_length() - 1
             bits ^= low
             if not budget.spend():
-                cands[u] = my_cands
                 return "unknown"
-            assigned[u] = r
-            saved = assign(u, r)
-            if all(cands[w] for w in cands):
-                if not cands:
-                    return "yes"
-                sub = dfs(None, _Stabiliser(stab, r, k))
+            if not rest:
+                images[u] = r
+                return "yes"
+            child = branch(rest, masks, u, r)
+            if child is not None:
+                sub = dfs(*child, _Stabiliser(stab, r, k))
+                if sub == "yes":
+                    images[u] = r
                 if sub != "no":
                     return sub
-            for w, m in saved.items():
-                cands[w] = m
-            del assigned[u]
             if stab is not None and bits:  # the orbit rule: u = g(r) fails too
                 group = stab.elements()
                 if len(group) > 1:
                     p = unrank_perm(r, k)
                     for q in set(_images(group, p)):
                         bits &= ~(1 << rank_perm(q))
-        assigned_mask ^= 1 << u
-        cands[u] = my_cands
         return "no"
 
-    assign(v1, 0)
+    order = degree_order(g)
+    images[order[0]] = 0  # the identity
+    first = branch(order[1:], [full] * (g.n - 1), order[0], 0)
+    if first is None:
+        return "no", None
     # Every class representative; the second vertex's candidates, once the
     # identity is pinned, already hold only the admissible ones (derangements
     # when it is adjacent to v1, else the rest minus the identity).
-    rep_mask = 0
-    for p in _class_representatives(k):
-        rep_mask |= 1 << rank_perm(p)
-    verdict = dfs(rep_mask, None)
+    rep_mask = sum(1 << rank_perm(p) for p in _class_representatives(k))
+    u2, bits2, rest, masks = first
+    verdict = dfs(u2, bits2 & rep_mask, rest, masks, None)
     if verdict != "yes":
         return verdict, None
-    return verdict, tuple(unrank_perm(assigned[v], k) for v in range(g.n))
+    return verdict, tuple(unrank_perm(images[v], k) for v in range(g.n))
 
 
 def is_k_representable(

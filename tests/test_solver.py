@@ -83,10 +83,12 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 9846),
-    ("C16", 7, 16),
+    ("C16", 5, 4402),
+    ("C16", 7, 15),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
+    ("C21", 6, 7663),
+    ("P15", 5, 8026),
 ])
 def test_wide_decisions_and_node_counts(spec, k, nodes):
     verdict, witness, stats = is_k_representable(G(spec), k)
@@ -97,7 +99,21 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 172701
+    assert verdict == "no" and witness is None and stats.nodes == 101857
+
+
+@pytest.mark.slow
+def test_p16_width5_refutation_node_count():
+    # with P15 at width 5 (above), the longest induced path of the width-5 graph has 15 vertices
+    verdict, witness, stats = is_k_representable(G("P16"), 5)
+    assert verdict == "no" and witness is None and stats.nodes == 159526
+
+
+@pytest.mark.slow
+def test_c22_width6_decision_node_count():
+    verdict, witness, stats = is_k_representable(G("C22"), 6)
+    assert verdict == "yes" and witness.k == 6 and verify(G("C22"), witness).valid
+    assert stats.nodes == 960534
 
 
 def test_class_representatives_are_least_in_their_class():
@@ -186,6 +202,7 @@ def test_orbit_pruning_keeps_every_verdict_and_witness(monkeypatch):
     # trivial stabilisers, the verdict and the witness are identical
     cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
     cases += [(G(f"C{n}"), k) for n in range(7, 15) for k in (4, 5)] + [(G("K3,3"), 4)]
+    cases += [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
     pruned = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "_representative_stabiliser",
                         lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
