@@ -60,7 +60,12 @@ about the order in which the search meets the remaining vertices.
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
 For each position i and value v, the mask M[i][v] is the set of ranks q with
-q(i) = v; one pass over S_k in lexicographic order builds all k^2 of them.
+q(i) = v.  They are built blockwise from those of S_{k-1}.  With F = (k-1)!,
+lexicographic order sorts on q(1) first, so the ranks aF .. aF+F-1 are the q
+with q(1) = a+1; within that block it sorts on the tail q(2..k), which runs
+through S_{k-1} over the remaining values relabelled in order.  So M[1][v] is
+block v, and M[i][v] for i > 1 is the union over a != v of M_{k-1}[i-1][v']
+shifted by aF, with v' = v - (v > a+1): O(k^3) shifts, not k! steps.
 Two permutations fail to disagree everywhere exactly when they agree in some
 position, so q agrees with p iff q(i) = p(i) for some i, that is iff q lies
 in agree(p) = M[1][p(1)] | ... | M[k][p(k)].  Hence the Cayley neighbours of
@@ -129,15 +134,17 @@ class SurveyResult:
 
 @lru_cache(maxsize=None)
 def _masks(k: int) -> tuple[tuple[int, ...], ...]:
-    """M[i][v]: bitset of the ranks q with q(i) = v + 1 (0-based i and v)."""
-    nbytes = (factorial(k) + 7) // 8
-    bufs = [[bytearray(nbytes) for _ in range(k)] for _ in range(k)]
-    # itertools yields S_k in lexicographic order, so r is the rank of p
-    for r, p in enumerate(iter_permutations(range(k))):
-        byte, bit = r >> 3, 1 << (r & 7)
-        for row, v in zip(bufs, p):
-            row[v][byte] |= bit
-    return tuple(tuple(int.from_bytes(b, "little") for b in row) for row in bufs)
+    """M[i][v]: bitset of the ranks q with q(i) = v + 1 (0-based i and v).
+
+    With F = (k-1)!, M[0][v] = ((1 << F) - 1) << vF and, for i > 0, M[i][v]
+    is the OR over a != v of M_{k-1}[i-1][v - (v > a)] << aF (module
+    docstring); the shifted blocks are disjoint, so the OR is a sum.
+    """
+    f = factorial(k - 1)
+    prev = _masks(k - 1) if k > 1 else ()
+    return (tuple(((1 << f) - 1) << v * f for v in range(k)),) + tuple(
+        tuple(sum(row[v - (v > a)] << a * f for a in range(k) if a != v) for v in range(k))
+        for row in prev)
 
 
 @lru_cache(maxsize=AGREE_MEMO_CAP)

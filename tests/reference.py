@@ -2,11 +2,12 @@
 
 Nothing here is used by ``drn`` itself: each helper is the slow, obvious
 version of a fact the tests check (permutation composition and the
-adjacency test, a decision by enumeration, an induced subgraph, a relabelling,
-a symmetry action on a matrix).
+adjacency test, a decision by enumeration, the position masks by a scan of
+S_k, an induced subgraph, a relabelling, a symmetry action on a matrix).
 """
 
 from itertools import permutations
+from math import factorial
 
 from drn.graphs import CliqueDecomposition, Graph
 from drn.matrices import RepresentationMatrix
@@ -40,6 +41,19 @@ def brute_force_oracle(g: Graph, k: int) -> bool:
         if all(disagree_everywhere(chosen[i], chosen[j]) == g.has_edge(i, j) for i, j in pairs):
             return True
     return False
+
+
+def position_masks(k: int) -> tuple[tuple[int, ...], ...]:
+    """M[i][v]: bitset of the lexicographic ranks q of S_k with q(i) = v + 1,
+    by one pass over S_k (0-based i and v)."""
+    nbytes = (factorial(k) + 7) // 8
+    bufs = [[bytearray(nbytes) for _ in range(k)] for _ in range(k)]
+    # itertools yields S_k in lexicographic order, so r is the rank of p
+    for r, p in enumerate(permutations(range(k))):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for row, v in zip(bufs, p):
+            row[v][byte] |= bit
+    return tuple(tuple(int.from_bytes(b, "little") for b in row) for row in bufs)
 
 
 def edge_cliques(g: Graph) -> CliqueDecomposition:

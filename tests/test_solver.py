@@ -27,7 +27,7 @@ from drn.solver import (
     solve_drn,
     survey,
 )
-from reference import brute_force_oracle, compose, disagree_everywhere, induced
+from reference import brute_force_oracle, compose, disagree_everywhere, induced, position_masks
 
 
 def G(spec):
@@ -67,6 +67,17 @@ def test_masks_partition_each_position():
             for m in row:
                 union |= m
             assert union == full
+
+
+def test_masks_equal_a_scan_of_s_k():
+    # blocks shifted to the wrong offset would still partition S_k (above)
+    _masks.cache_clear()
+    _masks(8)
+    assert _masks.cache_info().currsize == 8  # built from the masks of k = 1..7
+    for k in range(1, 9):
+        got, want = _masks(k), position_masks(k)
+        assert [len(row) for row in got] == [k] * k
+        assert not [(i, v) for i in range(k) for v in range(k) if got[i][v] != want[i][v]], k
 
 
 def test_agreement_masks_match_disagreement_relation():
@@ -156,13 +167,14 @@ def test_stabiliser_acts_as_automorphisms():
 
 
 def _unreduced_search(g, k):
-    """Reference decision: bitset DFS over vertices 0..n-1 on solver._masks,
-    with no pinning, no class representatives and no orbit pruning."""
-    full = (1 << factorial(k)) - 1
+    """Reference decision: bitset DFS over vertices 0..n-1 on the scanned
+    position masks, with no pinning, no class representatives and no orbit
+    pruning."""
+    full, masks = (1 << factorial(k)) - 1, position_masks(k)
 
     def agreeing(r):
         m = 0
-        for row, x in zip(_masks(k), unrank_perm(r, k)):
+        for row, x in zip(masks, unrank_perm(r, k)):
             m |= row[x - 1]
         return m
 
