@@ -1,5 +1,6 @@
-"""Simple-graph data model, graph6 I/O, the graph-family grammar, and small
-exact invariants (clique and independence number).
+"""Simple-graph data model, graph6 I/O, the graph-family grammar, small
+exact invariants (clique and independence number), and the orbit of a vertex
+pair under the automorphisms of a graph.
 
 Vertices are externally 1-based (v_1..v_n, matching the usual labeling of the
 constructions); internally adjacency is stored as n bitmasks over 0-based
@@ -325,6 +326,109 @@ def clique_number(g: Graph) -> int:
 
 def independence_number(g: Graph) -> int:
     return clique_number(g.complement())
+
+
+# Automorphisms -----------------------------------------------------------
+
+# Refinements one pair_orbit call may spend before it leaves the pairs it has
+# not reached out of the orbit.
+ORBIT_REFINEMENT_CAP = 4096
+
+
+def _refine(nbrs: list[list[int]], a: list[int], b: list[int]):
+    """Colour refinement of two colourings of one graph in lockstep: each round
+    recolours a vertex by its colour and the sorted colours of its neighbours,
+    naming the colours of both by one shared table, until the number of
+    colours stops growing.  Returns the stable pair, or None as soon as the
+    two colourings hold a signature a different number of times (then no
+    automorphism maps the one onto the other)."""
+    count = len(set(a))
+    while True:
+        sa = [(a[v], tuple(sorted(a[w] for w in ws))) for v, ws in enumerate(nbrs)]
+        sb = [(b[v], tuple(sorted(b[w] for w in ws))) for v, ws in enumerate(nbrs)]
+        if sorted(sa) != sorted(sb):
+            return None
+        names = {s: i for i, s in enumerate(sorted(set(sa)))}
+        a, b = [names[s] for s in sa], [names[s] for s in sb]
+        if len(names) == count:
+            return a, b
+        count = len(names)
+
+
+def is_automorphism(g: Graph, phi: list[int]) -> bool:
+    """True iff phi (phi[v] the image of v) is a bijection of the vertices
+    that maps every edge to an edge and every non-edge to a non-edge."""
+    return sorted(phi) == list(range(g.n)) and all(
+        g.has_edge(phi[u], phi[w]) == g.has_edge(u, w) for u in range(g.n) for w in range(u + 1, g.n))
+
+
+def _automorphism(g: Graph, nbrs, a: list[int], b: list[int], steps: list[int]):
+    """An automorphism mapping each vertex of colour c under a to one of colour c
+    under b, by refinement and individualisation backtracking, or None when
+    there is none or ``steps[0]`` refinements ran out first."""
+    if steps[0] <= 0:
+        return None
+    steps[0] -= 1
+    refined = _refine(nbrs, a, b)
+    if refined is None:
+        return None
+    a, b = refined
+    shared = [c for c in a if a.count(c) > 1]
+    if not shared:
+        where = {c: w for w, c in enumerate(b)}
+        phi = [where[c] for c in a]
+        return phi if is_automorphism(g, phi) else None
+    cell = min(shared)
+    u = a.index(cell)
+    for w in range(g.n):
+        if b[w] == cell:
+            # refined colours are below n, so n is a fresh colour
+            phi = _automorphism(g, nbrs, a[:u] + [g.n] + a[u + 1:], b[:w] + [g.n] + b[w + 1:], steps)
+            if phi is not None:
+                return phi
+    return None
+
+
+def pair_orbit(g: Graph, u: int, v: int) -> frozenset[tuple[int, int]]:
+    """The orbit of the vertex pair {u, v} (u != v) under the automorphisms of
+    g, as (smaller, larger) pairs.
+
+    For each pair {x, y} not yet reached, the search looks for an automorphism
+    mapping (u, v) to (x, y), then to (y, x), by colour refinement with
+    individualisation (McKay and Piperno, J. Symb. Comput. 60, 2014); each one
+    found is checked edge by edge (``is_automorphism``), and the orbit is
+    closed under all of them.  So every pair returned is the image of {u, v}
+    under a verified automorphism.  The search spends at most
+    ORBIT_REFINEMENT_CAP refinements in all; a pair it does not reach within
+    them is left out, so the orbit may be incomplete, never too large.
+    """
+    n = g.n
+    nbrs = [[w for w in range(n) if g.adj[x] >> w & 1] for x in range(n)]
+    base, _ = _refine(nbrs, [0] * n, [0] * n)
+    related = g.has_edge(u, v)
+    orbit = {(u, v)}
+    found: list[list[int]] = []
+    steps = [ORBIT_REFINEMENT_CAP]
+    for x in range(n):
+        for y in range(n):
+            if (x == y or g.has_edge(x, y) != related or base[x] != base[u] or base[y] != base[v]
+                    or (x, y) in orbit or (y, x) in orbit):
+                continue
+            a, b = base[:], base[:]
+            a[u], a[v], b[x], b[y] = n, n + 1, n, n + 1
+            phi = _automorphism(g, nbrs, a, b, steps)
+            if phi is None:
+                continue
+            found.append(phi)
+            frontier = list(orbit)
+            while frontier:
+                p, q = frontier.pop()
+                for h in found:
+                    image = (h[p], h[q])
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+    return frozenset((min(p, q), max(p, q)) for p, q in orbit)
 
 
 # Clique decompositions ---------------------------------------------------

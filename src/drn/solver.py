@@ -4,7 +4,7 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under three symmetry reductions:
+bitset candidate propagation, under four symmetry reductions:
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
@@ -43,8 +43,41 @@ bitset candidate propagation, under three symmetry reductions:
   only the node counts fall.  G_2 is built from rho's cycles, and each G_d
   only when a subtree at that depth first fails, so a search in which
   nothing fails does no group work.
+* labels on the orbit of the first pair, a lex-leader-style rule over the
+  automorphisms of g (Gent, Petrie and Puget, "Symmetry in constraint
+  programming", Handbook of CP, 2006).  The label of a vertex pair {x, y}
+  under a representation pi is the cycle type of pi(x)^-1 o pi(y).  It is
+  symmetric (an inverse has the same cycle type) and unchanged by left
+  translation (t cancels), by conjugation (it conjugates the product) and by
+  the inversion maps of H (the product becomes a o pi(x) o pi(y)^-1 o a^-1,
+  conjugate to pi(y)^-1 o pi(x)).  Let E0 be the orbit of {v1, v2} under
+  Aut(g) (``graphs.pair_orbit``; every automorphism behind it is checked edge
+  by edge, and an orbit it leaves incomplete only bans less).  The second
+  vertex runs through the class representatives c_1, c_2, ... in rank order.
+  Claim: once the branches v2 = c_1 .. c_j have all returned "no", no
+  representation of g gives a pair of E0 a label among c_1 .. c_j.  By
+  induction on j: let pi give {x, y} in E0 the label of c_j, and take phi in
+  Aut(g) with {phi(v1), phi(v2)} = {x, y}.  Then pi o phi represents g and
+  gives {v1, v2} that label (labels are symmetric); translate it so that v1
+  goes to the identity, then conjugate so that v2 goes to c_j.  Its label on
+  a pair {a, b} is that of pi on {phi(a), phi(b)}, which is in E0 exactly
+  when {a, b} is, so by the induction hypothesis it gives no pair of E0 a
+  label among c_1 .. c_j-1: it is a completion of v2 = c_j that obeys the
+  bans in force there, and that branch would have found it.  So the search
+  keeps the set B of refuted classes.  When a class joins B, it is removed
+  from the candidates of v1's partners in E0 (a vertex's label with the
+  identity is its own class), and each assignment u = r removes r o C, for
+  every class C in B, from the candidates of u's unassigned partners.  B is a
+  union of conjugacy classes and H preserves labels, so an element of G_d
+  maps the banned set of each assigned image onto itself, and the orbit rule
+  holds with the bans in place.  The bans drop only candidates that no
+  representation uses, so no verdict changes.  They narrow candidate sets,
+  which could steer fail-first branching (below) to another first witness in
+  a later class; the tests check that it does not on their corpus.  E0 is
+  computed when the first class is refuted with classes left to try, so a
+  search whose first class succeeds does no automorphism work.
 
-Refutations are exhaustive under exactly these three reductions.
+Refutations are exhaustive under exactly these four reductions.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  Each assignment narrows the candidate sets of the unassigned
@@ -55,7 +88,8 @@ degree order, and v2 is its first neighbour if it has one).  Children get
 fresh lists, so backtracking restores nothing.  No reduction depends on this
 order: translation and conjugation hold for whichever vertices come first,
 and the orbit rule is about completions of the images assigned so far, not
-about the order in which the search meets the remaining vertices.
+about the order in which the search meets the remaining vertices; the label
+rule is about every representation of g.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -84,7 +118,7 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, degree_order, graph6_encode
+from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit
 from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
@@ -187,6 +221,30 @@ def _class_representatives(k: int) -> list[Perm]:
             start += length
         reps.append(tuple(p))
     return sorted(reps)
+
+
+@lru_cache(maxsize=None)
+def _class_members(k: int) -> dict[Perm, tuple[Perm, ...]]:
+    """Every element of S_k, listed under its class representative."""
+    def cycle_type(p):
+        return tuple(sorted(map(len, cycles(p))))
+    rep = {cycle_type(rho): rho for rho in _class_representatives(k)}
+    members: dict[Perm, list[Perm]] = {rho: [] for rho in rep.values()}
+    for p in iter_permutations(range(1, k + 1)):
+        members[rep[cycle_type(p)]].append(p)
+    return {rho: tuple(ps) for rho, ps in members.items()}
+
+
+@lru_cache(maxsize=AGREE_MEMO_CAP)
+def _unbanned(k: int, r: int, banned: tuple[Perm, ...]) -> int:
+    """Bitset of the ranks s whose label with rank r, the class of r^-1 o s,
+    is none of the classes ``banned`` (given by their representatives)."""
+    p = unrank_perm(r, k)
+    m = (1 << factorial(k)) - 1
+    for rho in banned:
+        for q in _class_members(k)[rho]:
+            m ^= 1 << rank_perm(tuple(p[x - 1] for x in q))
+    return m
 
 
 # The orbit rule -----------------------------------------------------------
@@ -304,6 +362,12 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
     for "yes", the image of every vertex in vertex order."""
     full = (1 << factorial(k)) - 1
     images: dict[int, int] = {}
+    order = degree_order(g)
+    # The label rule's state: the refuted classes of the second vertex (by
+    # their representatives), and each vertex's partners in E0 as a bitset,
+    # filled in when the first class is refuted.
+    banned: tuple[Perm, ...] = ()
+    partners = [0] * g.n
 
     def branch(rest: list[int], masks: list[int], u: int, r: int):
         """Propagate u = r to the unassigned vertices ``rest`` (in degree
@@ -315,6 +379,10 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
         non ^= 1 << r
         adj = g.adj[u]
         new = [m & (row if adj >> w & 1 else non) for w, m in zip(rest, masks)]
+        part = partners[u]
+        if part:  # the label rule (partners stay empty until a class is banned)
+            allowed = _unbanned(k, r, banned)
+            new = [m & allowed if part >> w & 1 else m for w, m in zip(rest, new)]
         sizes = list(map(int.bit_count, new))
         least = min(sizes)
         if not least:
@@ -326,6 +394,7 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
         """Try every candidate rank in bits for u.  stab holds the group
         fixing every image assigned so far (None at the second vertex, whose
         candidates are one per class)."""
+        nonlocal banned
         while bits:
             low = bits & -bits
             r = low.bit_length() - 1
@@ -342,7 +411,17 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
                     images[u] = r
                 if sub != "no":
                     return sub
-            if stab is not None and bits:  # the orbit rule: u = g(r) fails too
+            if not bits:
+                break
+            if stab is None:  # the label rule: no pair of E0 has r's class
+                if not banned:
+                    for x, y in pair_orbit(g, order[0], u):
+                        partners[x] |= 1 << y
+                        partners[y] |= 1 << x
+                banned += (unrank_perm(r, k),)
+                allowed, part = _unbanned(k, 0, banned), partners[order[0]]
+                masks = [m & allowed if part >> w & 1 else m for w, m in zip(rest, masks)]
+            else:  # the orbit rule: u = g(r) fails too
                 group = stab.elements()
                 if len(group) > 1:
                     p = unrank_perm(r, k)
@@ -350,7 +429,6 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
                         bits &= ~(1 << rank_perm(q))
         return "no"
 
-    order = degree_order(g)
     images[order[0]] = 0  # the identity
     first = branch(order[1:], [full] * (g.n - 1), order[0], 0)
     if first is None:
@@ -373,7 +451,7 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the three symmetry reductions in
+    A "no" is an exhaustive refutation under the four symmetry reductions in
     the module docstring.
     """
     if k < 1:

@@ -3,7 +3,8 @@
 Nothing here is used by ``drn`` itself: each helper is the slow, obvious
 version of a fact the tests check (permutation composition and the
 adjacency test, a decision by enumeration, the position masks by a scan of
-S_k, an induced subgraph, a relabelling, a symmetry action on a matrix).
+S_k, an induced subgraph, a relabelling, the automorphisms of a graph by
+trying every relabelling, a symmetry action on a matrix).
 """
 
 from itertools import permutations
@@ -74,6 +75,13 @@ def induced(g: Graph, vs) -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex bijection old -> perm[old] (0-based)."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex bijection p (old -> p[old]) that maps g onto itself, by
+    trying all n! relabellings; only feasible for small n."""
+    edges = {frozenset(e) for e in g.edges()}
+    return [p for p in permutations(range(g.n)) if {frozenset((p[u], p[v])) for u, v in edges} == edges]
 
 
 def normalize(m: RepresentationMatrix) -> RepresentationMatrix:

@@ -14,10 +14,13 @@ from drn.graphs import (
     graph_from_spec_text,
     greedy_clique_decomposition,
     independence_number,
+    is_automorphism,
     nonisomorphic_graphs,
+    pair_orbit,
     parse_family,
 )
-from reference import edge_cliques, induced
+from drn import graphs
+from reference import automorphisms, edge_cliques, induced
 
 
 def G(spec: str) -> Graph:
@@ -166,3 +169,66 @@ def test_nonisomorphic_graph_counts(n, count):
     graphs = nonisomorphic_graphs(n)
     assert len(graphs) == count
     assert len({graph6_encode(g) for g in graphs}) == count
+
+
+PETERSEN = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
+# the smallest asymmetric graphs have 6 vertices; this is one of them
+ASYMMETRIC_6 = Graph.from_edges(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)])
+
+
+def test_cycle_edges_form_one_orbit():
+    for n in range(4, 17):
+        g = G(f"C{n}")
+        assert pair_orbit(g, 0, 1) == frozenset(g.edges()), n
+
+
+def test_path_edge_orbit_is_its_reversal():
+    for n in range(5, 17):
+        assert pair_orbit(G(f"P{n}"), 1, 2) == {(1, 2), (n - 3, n - 2)}, n
+
+
+def test_edge_transitive_graphs():
+    for g in (PETERSEN, G("K3,3")):
+        u, v = next(g.edges())
+        assert pair_orbit(g, u, v) == frozenset(g.edges())
+    # and the non-edges of the Petersen graph form one orbit too
+    non_edges = {(u, v) for u in range(10) for v in range(u + 1, 10)} - set(PETERSEN.edges())
+    assert pair_orbit(PETERSEN, 0, 2) == non_edges
+
+
+def test_asymmetric_graph_has_singleton_orbits():
+    assert automorphisms(ASYMMETRIC_6) == [tuple(range(6))]
+    for u in range(6):
+        for v in range(u + 1, 6):
+            assert pair_orbit(ASYMMETRIC_6, u, v) == {(u, v)}
+            assert pair_orbit(ASYMMETRIC_6, v, u) == {(u, v)}
+
+
+def test_pair_orbits_match_every_relabelling():
+    for n in range(2, 7):
+        for g in nonisomorphic_graphs(n):
+            auts = automorphisms(g)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    want = {tuple(sorted((p[u], p[v]))) for p in auts}
+                    assert pair_orbit(g, u, v) == want, (graph6_encode(g), u, v)
+
+
+def test_capped_orbit_search_only_leaves_pairs_out(monkeypatch):
+    # a search cut short reports part of the orbit, never a pair outside it
+    for g in (G("C7"), G("K3,3"), G("K2,4"), G("P7")):
+        u, v = next(g.edges())
+        orbit = {tuple(sorted((p[u], p[v]))) for p in automorphisms(g)}
+        for cap in range(0, 6):
+            monkeypatch.setattr(graphs, "ORBIT_REFINEMENT_CAP", cap)
+            got = pair_orbit(g, u, v)
+            assert (u, v) in got and got <= orbit, (g, cap)
+
+
+def test_is_automorphism():
+    g = G("P4")
+    assert is_automorphism(g, [3, 2, 1, 0]) and is_automorphism(g, [0, 1, 2, 3])
+    assert not is_automorphism(g, [1, 0, 2, 3])  # maps the edge {1, 2} to a non-edge
+    assert not is_automorphism(g, [0, 0, 2, 3])  # not a bijection

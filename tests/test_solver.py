@@ -23,6 +23,7 @@ from drn.solver import (
     _images,
     _masks,
     _representative_stabiliser,
+    _unbanned,
     is_k_representable,
     solve_drn,
     survey,
@@ -55,6 +56,16 @@ def _cayley_row_reference(perms, r):
     """Ranks of the permutations that disagree everywhere with rank r."""
     p = unrank_perm(r, len(perms[0]))
     return int("".join("1" if disagree_everywhere(q, p) else "0" for q in reversed(perms)), 2)
+
+
+def _set_bits(m):
+    """The positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def test_masks_partition_each_position():
@@ -90,7 +101,8 @@ def test_agreement_masks_match_disagreement_relation():
     shifts = [tuple((i + j) % 8 + 1 for i in range(8)) for j in range(8)]
     sample = [rank_perm(p) for p in shifts] + random.Random(8).sample(range(factorial(8)), 4)
     for r in sample:
-        assert full ^ _agreement(8, r) == _cayley_row_reference(perms, r), r
+        differ = _set_bits(full ^ _agreement(8, r) ^ _cayley_row_reference(perms, r))
+        assert not differ, r  # the ranks misplaced in the row of r
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
@@ -110,7 +122,7 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 101857
+    assert verdict == "no" and witness is None and stats.nodes == 44469
 
 
 @pytest.mark.slow
@@ -134,6 +146,21 @@ def test_class_representatives_are_least_in_their_class():
             t = tuple(sorted(map(len, cycles(p))))
             least.setdefault(t, p)  # all_perms is in lexicographic order
         assert _class_representatives(k) == sorted(least.values()), k
+
+
+def test_unbanned_ranks_are_the_other_labels():
+    # s stays a candidate beside rank r iff r^-1 o s is in none of the banned classes
+    def cycle_type(p):
+        return sorted(map(len, cycles(p)))
+
+    for k in range(2, 6):
+        reps = _class_representatives(k)
+        for banned in ((reps[1],), (reps[-1], reps[-2])):
+            types = [cycle_type(rho) for rho in banned]
+            for r in range(factorial(k)):
+                r_inv = inverse(unrank_perm(r, k))
+                want = [s for s, q in enumerate(all_perms(k)) if cycle_type(compose(r_inv, q)) not in types]
+                assert _set_bits(_unbanned(k, r, banned)) == want, (k, r, banned)
 
 
 def test_representative_stabiliser_is_the_stabiliser_in_h():
@@ -225,6 +252,39 @@ def test_orbit_pruning_keeps_every_verdict_and_witness(monkeypatch):
         assert stats.nodes <= plain_stats.nodes
         fewer += stats.nodes < plain_stats.nodes
     assert fewer >= 10
+
+
+def test_differential_symmetric_graphs():
+    # graphs whose pair orbits are large, so the label rule bans the most
+    for spec in [f"C{n}" for n in range(4, 10)] + ["K3,3", "K2,4"]:
+        for k in (3, 4):
+            assert (is_k_representable(G(spec), k)[0] == "yes") == _unreduced_search(G(spec), k), (spec, k)
+
+
+def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
+    # against the same search with E0 cut down to {v1, v2}, where the rule
+    # bans nothing, the verdict and the witness are identical
+    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
+    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
+    cases += [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
+    banned = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
+    for (g, k), (verdict, witness, stats) in zip(cases, banned):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes
+        if (g, k) == (G("C15"), 5):
+            assert stats.nodes < plain_stats.nodes
+
+
+def test_label_rule_is_lazy(monkeypatch):
+    # searches whose first class of the second vertex succeeds compute no orbit
+    def refuse(g, u, v):
+        raise AssertionError("pair_orbit called")
+
+    monkeypatch.setattr(solver, "pair_orbit", refuse)
+    for spec, k in (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8)):
+        assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
 
 def test_differential_order_six_hypothesis():
@@ -338,15 +398,15 @@ def test_zero_time_limit_searches_nothing():
 
 
 def test_budget_is_shared_across_calls():
-    # K3,3 spends 9 nodes refuting width 4 and 5 deciding width 5
-    budget = Budget(node_limit=13)
+    # K3,3 spends 7 nodes refuting width 4 and 5 deciding width 5
+    budget = Budget(node_limit=11)
     assert is_k_representable(G("K3,3"), 4, budget)[0] == "no"
     verdict, _, stats = is_k_representable(G("K3,3"), 5, budget)
-    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 13
+    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 11
     with pytest.raises(BudgetExhaustedError, match="at width 5 after 4 nodes"):
-        solve_drn(G("K3,3"), Budget(node_limit=13))
-    res = solve_drn(G("K3,3"), Budget(node_limit=14))
-    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 9, 5: 5}
+        solve_drn(G("K3,3"), Budget(node_limit=11))
+    res = solve_drn(G("K3,3"), Budget(node_limit=12))
+    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 7, 5: 5}
 
 
 def test_search_after_the_deadline_spends_nothing():
