@@ -150,7 +150,8 @@ def _solve_payload(spec: str, res) -> dict:
         "refuted": list(res.ks_refuted),
         "witness_source": res.witness_source,
         "witness": write_matrix(res.witness),
-        "stats": {str(k): {"nodes": s.nodes, "millis": round(s.millis, 3), "verdict": s.verdict}
+        "stats": {str(k): {"nodes": s.nodes, "skips": s.skips, "millis": round(s.millis, 3),
+                           "verdict": s.verdict}
                   for k, s in res.stats.items()},
     }
 
@@ -168,7 +169,8 @@ def cmd_solve(args) -> int:
         if res.ks_refuted:
             lines.append(f"  refuted widths: {', '.join(map(str, res.ks_refuted))}")
         for k, s in sorted(res.stats.items()):
-            lines.append(f"  width {k}: {s.verdict} after {s.nodes} nodes ({s.millis:.1f} ms)")
+            lines.append(f"  width {k}: {s.verdict} after {s.nodes} nodes, {s.skips} skipped "
+                         f"({s.millis:.1f} ms)")
         lines.append(f"  witness ({res.witness_source}):")
         lines.extend("    " + " ".join(map(str, row)) for row in res.witness.rows)
         _emit("\n".join(lines), args.out)

@@ -1,6 +1,6 @@
 """Simple-graph data model, graph6 I/O, the graph-family grammar, small
 exact invariants (clique and independence number), and the orbit of a vertex
-pair under the automorphisms of a graph.
+tuple under the automorphisms of a graph.
 
 Vertices are externally 1-based (v_1..v_n, matching the usual labeling of the
 constructions); internally adjacency is stored as n bitmasks over 0-based
@@ -330,8 +330,8 @@ def independence_number(g: Graph) -> int:
 
 # Automorphisms -----------------------------------------------------------
 
-# Refinements one pair_orbit call may spend before it leaves the pairs it has
-# not reached out of the orbit.
+# Refinements one tuple_orbit call may spend before it leaves the tuples it
+# has not reached out of the orbit.
 ORBIT_REFINEMENT_CAP = 4096
 
 
@@ -389,46 +389,67 @@ def _automorphism(g: Graph, nbrs, a: list[int], b: list[int], steps: list[int]):
     return None
 
 
-def pair_orbit(g: Graph, u: int, v: int) -> frozenset[tuple[int, int]]:
-    """The orbit of the vertex pair {u, v} (u != v) under the automorphisms of
-    g, as (smaller, larger) pairs.
+def tuple_orbit(g: Graph, vs: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The orbit of the ordered tuple ``vs`` of distinct vertices under the
+    automorphisms of g.
 
-    For each pair {x, y} not yet reached, the search looks for an automorphism
-    mapping (u, v) to (x, y), then to (y, x), by colour refinement with
-    individualisation (McKay and Piperno, J. Symb. Comput. 60, 2014); each one
-    found is checked edge by edge (``is_automorphism``), and the orbit is
-    closed under all of them.  So every pair returned is the image of {u, v}
-    under a verified automorphism.  The search spends at most
-    ORBIT_REFINEMENT_CAP refinements in all; a pair it does not reach within
+    Candidate images are built vertex by vertex: the i-th vertex has the
+    refined colour of vs[i] and is adjacent to each earlier one exactly when
+    vs[i] is to its counterpart.  For each candidate not yet reached, the
+    search looks for an automorphism mapping vs onto it by colour refinement
+    with individualisation (McKay and Piperno, J. Symb. Comput. 60, 2014);
+    each one found is checked edge by edge (``is_automorphism``), and the
+    orbit is closed under all of them.  So every tuple returned is the image
+    of vs under a verified automorphism.  The search spends at most
+    ORBIT_REFINEMENT_CAP refinements in all; a tuple it does not reach within
     them is left out, so the orbit may be incomplete, never too large.
     """
     n = g.n
     nbrs = [[w for w in range(n) if g.adj[x] >> w & 1] for x in range(n)]
     base, _ = _refine(nbrs, [0] * n, [0] * n)
-    related = g.has_edge(u, v)
-    orbit = {(u, v)}
+
+    def candidates(prefix: tuple[int, ...]):
+        i = len(prefix)
+        if i == len(vs):
+            yield prefix
+            return
+        allowed = sum(1 << x for x in range(n) if base[x] == base[vs[i]])
+        for p, v in zip(prefix, vs):
+            allowed &= (g.adj[p] if g.has_edge(vs[i], v) else ~g.adj[p]) & ~(1 << p)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            yield from candidates(prefix + (low.bit_length() - 1,))
+
+    orbit = {tuple(vs)}
     found: list[list[int]] = []
     steps = [ORBIT_REFINEMENT_CAP]
-    for x in range(n):
-        for y in range(n):
-            if (x == y or g.has_edge(x, y) != related or base[x] != base[u] or base[y] != base[v]
-                    or (x, y) in orbit or (y, x) in orbit):
-                continue
-            a, b = base[:], base[:]
-            a[u], a[v], b[x], b[y] = n, n + 1, n, n + 1
-            phi = _automorphism(g, nbrs, a, b, steps)
-            if phi is None:
-                continue
-            found.append(phi)
-            frontier = list(orbit)
-            while frontier:
-                p, q = frontier.pop()
-                for h in found:
-                    image = (h[p], h[q])
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
-    return frozenset((min(p, q), max(p, q)) for p, q in orbit)
+    for xs in candidates(()):
+        if xs in orbit:
+            continue
+        a, b = base[:], base[:]
+        for i, (v, x) in enumerate(zip(vs, xs)):
+            a[v] = b[x] = n + i
+        phi = _automorphism(g, nbrs, a, b, steps)
+        if phi is None:
+            continue
+        found.append(phi)
+        frontier = list(orbit)
+        while frontier:
+            ys = frontier.pop()
+            for h in found:
+                image = tuple(h[y] for y in ys)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+    return frozenset(orbit)
+
+
+def pair_orbit(g: Graph, u: int, v: int) -> frozenset[tuple[int, int]]:
+    """The orbit of the vertex pair {u, v} (u != v) under the automorphisms of
+    g, as (smaller, larger) pairs: the unordered projection of the orbit of
+    (u, v) (``tuple_orbit``)."""
+    return frozenset((min(x, y), max(x, y)) for x, y in tuple_orbit(g, (u, v)))
 
 
 # Clique decompositions ---------------------------------------------------

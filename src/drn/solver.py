@@ -4,7 +4,7 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under four symmetry reductions:
+bitset candidate propagation, under five symmetry reductions:
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
@@ -41,8 +41,8 @@ bitset candidate propagation, under four symmetry reductions:
   remaining candidates.  Only subtrees that would have failed are skipped,
   so every verdict and every witness is the one the unpruned search finds;
   only the node counts fall.  G_2 is built from rho's cycles, and each G_d
-  only when a subtree at that depth first fails, so a search in which
-  nothing fails does no group work.
+  (from the nearest group built above it) only when a failure at that depth
+  leaves candidates, so a search in which nothing fails does no group work.
 * labels on the orbit of the first pair, a lex-leader-style rule over the
   automorphisms of g (Gent, Petrie and Puget, "Symmetry in constraint
   programming", Handbook of CP, 2006).  The label of a vertex pair {x, y}
@@ -76,8 +76,45 @@ bitset candidate propagation, under four symmetry reductions:
   a later class; the tests check that it does not on their corpus.  E0 is
   computed when the first class is refuted with classes left to try, so a
   search whose first class succeeds does no automorphism work.
+* types on the orbit of the first triple: the label rule's induction one
+  level deeper.  Let A be the maps sigma -> a o sigma^e o b (a, b in S_k,
+  e = +-1): left and right translations (the second conjugates sigma^-1 o
+  tau by b) and inversion, each an automorphism of the Cayley graph.  The
+  type of an ordered vertex triple (x, y, z) under pi is the A-orbit of
+  (pi(x), pi(y), pi(z)), so it is invariant under translation, conjugation
+  and inversion.  The elements of A fixing the identity are H, and those
+  also fixing rho are G_2.  So a triple of images (p, p', c) with beta =
+  p^-1 o p' in rho's class has the normal form t^-1 o p^-1 o c o t, for any
+  t with t o rho o t^-1 = beta: A maps the triple to (id, rho, that form),
+  and two such triples have the same type iff their normal forms lie in one
+  G_2-orbit.  Let O3 be the orbit of (v1, v2, v3) under Aut(g)
+  (``graphs.tuple_orbit``; an incomplete orbit only bans less), and let the
+  candidates r_1, r_2, ... of the third vertex fail in turn, with v2 = rho;
+  B_j is the union of the G_2-orbits of r_1 .. r_j.  Claim: no
+  representation of g gives a triple of O3 a type whose normal form is in
+  B_j.  By induction on j: let pi give (x, y, z) in O3 such a type; by the
+  induction hypothesis its normal form is in the orbit of r_j.  Take phi in
+  Aut(g) with phi(v1, v2, v3) = (x, y, z) and the element of A that maps
+  (pi(x), pi(y), pi(z)) to (id, rho, r_j).  Composed with pi o phi it gives a
+  representation of g with v3 = r_j that gives each triple of O3 the type pi
+  gives its image under phi, which is in O3, so no type in B_j-1; like every
+  representation it obeys the label rule's bans.  So it is a completion of
+  v3 = r_j that obeys the bans in force there, and that branch would have
+  found it.  Hence, in the third vertex's frame, a candidate c for any
+  vertex z is skipped, without spending a node, when some (x, y, z) in O3
+  has x and y assigned and the normal form of (pi(x), pi(y), c) is in B.
+  For (v1, v2, v3) itself the normal form of c is c, so at v3 the rule is
+  the orbit rule's drop of G_2(r), which is kept in its place.  An element
+  of G_d lies in A and fixes the assigned images, so it preserves types and
+  the bans, and the orbit rule holds with them.  A skip never narrows a
+  candidate set, so fail-first branching, and with it every verdict and
+  every witness, is the unpruned search's; only node counts fall.  B lives
+  in the third vertex's frame: in the frames of later classes of v2 its
+  bans are vacuous, since each (x, y) of O3 is in the orbit of (v1, v2),
+  where the label rule already bars rho's class.  O3 is computed when a
+  refutation at v3 first leaves candidates.
 
-Refutations are exhaustive under exactly these four reductions.
+Refutations are exhaustive under exactly these five reductions.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  Each assignment narrows the candidate sets of the unassigned
@@ -89,7 +126,7 @@ fresh lists, so backtracking restores nothing.  No reduction depends on this
 order: translation and conjugation hold for whichever vertices come first,
 and the orbit rule is about completions of the images assigned so far, not
 about the order in which the search meets the remaining vertices; the label
-rule is about every representation of g.
+and triple rules are about every representation of g.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -118,7 +155,7 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit
+from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit, tuple_orbit
 from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
@@ -142,6 +179,7 @@ class SearchStats:
     nodes: int = 0
     millis: float = 0.0
     verdict: str = ""
+    skips: int = 0  # candidates the orbit and triple rules dropped without a node
 
 
 @dataclass(frozen=True)
@@ -179,6 +217,12 @@ def _masks(k: int) -> tuple[tuple[int, ...], ...]:
     return (tuple(((1 << f) - 1) << v * f for v in range(k)),) + tuple(
         tuple(sum(row[v - (v > a)] << a * f for a in range(k) if a != v) for v in range(k))
         for row in prev)
+
+
+@lru_cache(maxsize=AGREE_MEMO_CAP)
+def _perm(k: int, r: int) -> Perm:
+    """The permutation of rank r in S_k, cached like the agreement rows."""
+    return unrank_perm(r, k)
 
 
 @lru_cache(maxsize=AGREE_MEMO_CAP)
@@ -269,27 +313,19 @@ def _images(group, p: Perm):
         yield tuple(map(a.__getitem__, map(q.__getitem__, a_inv)))
 
 
-class _Stabiliser:
-    """The elements of H that fix the images assigned down to one vertex,
-    built on first use: G_2 from the class representative's cycles when there
-    is no parent, otherwise the parent's elements that also fix this rank."""
-
-    __slots__ = ("parent", "rank", "k", "group")
-
-    def __init__(self, parent: _Stabiliser | None, rank: int, k: int):
-        self.parent, self.rank, self.k, self.group = parent, rank, k, None
-
-    def elements(self):
-        if self.group is None:
-            if self.parent is None:
-                self.group = _representative_stabiliser(unrank_perm(self.rank, self.k))
-            else:
-                group = self.parent.elements()
-                if len(group) > 1:  # more than the identity alone
-                    p = unrank_perm(self.rank, self.k)
-                    group = [h for h, q in zip(group, _images(group, p)) if q == p]
-                self.group = group
-        return self.group
+def _stabiliser(group, fixed: tuple[int, ...], k: int):
+    """The elements of ``group`` that fix the permutation of every rank in
+    ``fixed``.  A group of None stands for G_1 = H: then fixed[0] is the
+    second vertex's class representative rho, and G_2 is built from rho's
+    cycles."""
+    if group is None:
+        group, fixed = _representative_stabiliser(unrank_perm(fixed[0], k)), fixed[1:]
+    for r in fixed:
+        if len(group) == 1:  # the identity alone
+            break
+        p = unrank_perm(r, k)
+        group = [h for h, q in zip(group, _images(group, p)) if q == p]
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -357,17 +393,45 @@ class Budget:
         return True
 
 
-def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | None]:
-    """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict and,
-    for "yes", the image of every vertex in vertex order."""
+@lru_cache(maxsize=AGREE_MEMO_CAP)
+def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
+    """A permutation t with t o rho o t^-1 = beta, or None when beta is not
+    conjugate to rho: t maps each cycle of rho, point by point, onto a cycle
+    of beta of the same length."""
+    ours, theirs = sorted(cycles(rho), key=len), sorted(cycles(beta), key=len)
+    if list(map(len, ours)) != list(map(len, theirs)):
+        return None
+    t = [0] * len(rho)
+    for cyc, image in zip(ours, theirs):
+        for x, y in zip(cyc, image):
+            t[x - 1] = y
+    return tuple(t)
+
+
+def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | None, int]:
+    """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict,
+    for "yes" the image of every vertex in vertex order, and the number of
+    candidates the orbit and triple rules skipped."""
     full = (1 << factorial(k)) - 1
-    images: dict[int, int] = {}
+    images = [0] * g.n  # the rank of each assigned vertex's image
     order = degree_order(g)
+    skips = 0
     # The label rule's state: the refuted classes of the second vertex (by
     # their representatives), and each vertex's partners in E0 as a bitset,
     # filled in when the first class is refuted.
     banned: tuple[Perm, ...] = ()
     partners = [0] * g.n
+    # The triple rule's state, for the current third-vertex frame: for each
+    # vertex z, the pairs (x, y) with (x, y, z) in O3 other than (v1, v2, v3),
+    # with the bitset of {x, y} (None until a refutation there leaves
+    # candidates; kept in orbits3 by v3 for the frames of later classes); the
+    # second vertex's image rho; the refuted normal forms B; and the
+    # normaliser of each pair of image ranks.
+    orbits3: dict[int, list[list[tuple[int, int, int]]]] = {}
+    triples: list[list[tuple[int, int, int]]] | None = None
+    rho: Perm = ()
+    refuted: set[Perm] = set()
+    normalisers: dict[tuple[int, int], tuple | None] = {}
 
     def branch(rest: list[int], masks: list[int], u: int, r: int):
         """Propagate u = r to the unassigned vertices ``rest`` (in degree
@@ -390,30 +454,64 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
         i = sizes.index(least)
         return rest[i], new[i], rest[:i] + rest[i + 1:], new[:i] + new[i + 1:]
 
-    def dfs(u: int, bits: int, rest: list[int], masks: list[int], stab: _Stabiliser | None) -> str:
-        """Try every candidate rank in bits for u.  stab holds the group
-        fixing every image assigned so far (None at the second vertex, whose
-        candidates are one per class)."""
-        nonlocal banned
+    def normaliser(rx: int, ry: int):
+        """For the images p and p' of ranks rx and ry: None when
+        beta = p^-1 o p' is not in rho's class, else (lut, t0) such that the
+        normal form t^-1 o p^-1 o c o t of a candidate c, with
+        t o rho o t^-1 = beta, is tuple([lut[c[j]] for j in t0])."""
+        p_inv = inverse(_perm(k, rx))
+        t = _conjugator(rho, tuple(p_inv[v - 1] for v in _perm(k, ry)))
+        if t is None:
+            return None
+        t_inv = inverse(t)
+        return (0,) + tuple(t_inv[v - 1] for v in p_inv), tuple(v - 1 for v in t)
+
+    def checks(u: int, done: int) -> list:
+        """The normalisers of the assigned pairs (x, y) with (x, y, u) in O3,
+        memoised per pair of image ranks."""
+        out = []
+        for x, y, both in triples[u]:
+            if done & both == both:
+                key = images[x], images[y]
+                nf = normalisers.get(key, False)
+                if nf is False:
+                    nf = normalisers[key] = normaliser(*key)
+                if nf is not None:
+                    out.append(nf)
+        return out
+
+    def dfs(u: int, bits: int, rest: list[int], masks: list[int], done: int,
+            group, fixed: tuple[int, ...]) -> str:
+        """Try every candidate rank in bits for u; ``done`` is the bitset of
+        the assigned vertices.  The stabiliser G of the images assigned so far
+        is the set of elements of ``group`` that fix the ranks ``fixed``
+        (``_stabiliser``); it is built only when a failure leaves candidates."""
+        nonlocal banned, triples, rho, refuted, normalisers, skips
+        if done == third:  # a new third-vertex frame: no triple bans yet
+            triples = None
+        tests = checks(u, done) if triples is not None and triples[u] else ()
         while bits:
             low = bits & -bits
             r = low.bit_length() - 1
             bits ^= low
+            if tests:  # the triple rule
+                c = _perm(k, r)
+                if any(tuple([lut[c[j]] for j in t0]) in refuted for lut, t0 in tests):
+                    skips += 1
+                    continue
             if not budget.spend():
                 return "unknown"
+            images[u] = r
             if not rest:
-                images[u] = r
                 return "yes"
             child = branch(rest, masks, u, r)
             if child is not None:
-                sub = dfs(*child, _Stabiliser(stab, r, k))
-                if sub == "yes":
-                    images[u] = r
+                sub = dfs(*child, done | 1 << u, group, fixed + (r,))
                 if sub != "no":
                     return sub
             if not bits:
                 break
-            if stab is None:  # the label rule: no pair of E0 has r's class
+            if done == second:  # the label rule: no pair of E0 has r's class
                 if not banned:
                     for x, y in pair_orbit(g, order[0], u):
                         partners[x] |= 1 << y
@@ -421,27 +519,44 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
                 banned += (unrank_perm(r, k),)
                 allowed, part = _unbanned(k, 0, banned), partners[order[0]]
                 masks = [m & allowed if part >> w & 1 else m for w, m in zip(rest, masks)]
-            else:  # the orbit rule: u = g(r) fails too
-                group = stab.elements()
-                if len(group) > 1:
-                    p = unrank_perm(r, k)
-                    for q in set(_images(group, p)):
-                        bits &= ~(1 << rank_perm(q))
+                continue
+            # the orbit rule: u = h(r) fails too, for every h in G
+            if fixed:
+                group, fixed = _stabiliser(group, fixed, k), ()
+            if len(group) == 1 and done != third:
+                continue  # the orbit of r is r alone
+            orbit = set(_images(group, _perm(k, r)))
+            if done == third:  # the triple rule: B gains the orbit
+                if triples is None:
+                    if u not in orbits3:
+                        base = (order[0], v2, u)
+                        orbits3[u] = [[] for _ in range(g.n)]
+                        for x, y, z in tuple_orbit(g, base):
+                            if (x, y, z) != base:  # the orbit rule covers it
+                                orbits3[u][z].append((x, y, 1 << x | 1 << y))
+                    triples = orbits3[u]
+                    rho, refuted, normalisers = _perm(k, images[v2]), set(), {}
+                refuted |= orbit
+                tests = checks(u, done)
+            drop = sum(1 << rank_perm(q) for q in orbit) & bits
+            skips += drop.bit_count()
+            bits ^= drop
         return "no"
 
     images[order[0]] = 0  # the identity
     first = branch(order[1:], [full] * (g.n - 1), order[0], 0)
     if first is None:
-        return "no", None
+        return "no", None, skips
     # Every class representative; the second vertex's candidates, once the
     # identity is pinned, already hold only the admissible ones (derangements
     # when it is adjacent to v1, else the rest minus the identity).
     rep_mask = sum(1 << rank_perm(p) for p in _class_representatives(k))
-    u2, bits2, rest, masks = first
-    verdict = dfs(u2, bits2 & rep_mask, rest, masks, None)
+    v2, bits2, rest, masks = first
+    second, third = 1 << order[0], 1 << order[0] | 1 << v2  # ``done`` at v2 and v3
+    verdict = dfs(v2, bits2 & rep_mask, rest, masks, second, None, ())
     if verdict != "yes":
-        return verdict, None
-    return verdict, tuple(unrank_perm(images[v], k) for v in range(g.n))
+        return verdict, None, skips
+    return verdict, tuple(unrank_perm(r, k) for r in images), skips
 
 
 def is_k_representable(
@@ -451,8 +566,9 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the four symmetry reductions in
-    the module docstring.
+    A "no" is an exhaustive refutation under the five symmetry reductions in
+    the module docstring; ``stats.skips`` counts the candidates the orbit and
+    triple rules dropped without spending a node.
     """
     if k < 1:
         raise ValueError("width must be >= 1")
@@ -462,6 +578,7 @@ def is_k_representable(
     if budget is None:
         budget = Budget()
     spent_before = budget.nodes
+    skips = 0
     if g.n > factorial(k):
         verdict, rows = "no", None
     elif g.n == 1:
@@ -469,7 +586,7 @@ def is_k_representable(
     elif budget.expired():
         verdict, rows = "unknown", None
     else:
-        verdict, rows = _search(g, k, budget)
+        verdict, rows, skips = _search(g, k, budget)
     witness = None
     if rows is not None:
         witness = RepresentationMatrix(rows)
@@ -477,7 +594,7 @@ def is_k_representable(
         if not rep.valid:  # soundness guard; must never happen
             raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")
     stats = SearchStats(nodes=budget.nodes - spent_before,
-                        millis=(time.monotonic() - start) * 1000.0, verdict=verdict)
+                        millis=(time.monotonic() - start) * 1000.0, verdict=verdict, skips=skips)
     return verdict, witness, stats
 
 

@@ -110,6 +110,15 @@ def test_solve_examples(capsys):
     assert json.loads(out)["drn"] == 5
 
 
+def test_solve_reports_skips_per_width(capsys):
+    # C7's width-4 refutation spends 9 nodes and skips 9 candidates
+    code, out, _ = run(capsys, "solve", "C7", "--format", "json")
+    width4 = json.loads(out)["stats"]["4"]
+    assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 9)
+    code, out, _ = run(capsys, "solve", "C7")
+    assert "width 4: no after 9 nodes, 9 skipped (" in out
+
+
 def test_solve_budget_exit_4(capsys):
     code, _, err = run(capsys, "solve", "K3,3", "--node-limit", "3")
     assert code == 4 and "budget" in err
@@ -119,10 +128,10 @@ def test_solve_budget_exit_4(capsys):
 
 def test_budget_bounds_the_whole_command(capsys):
     # node totals: K3,3 spends 7 nodes at width 4 and 5 at width 5; cycles
-    # 9..12 spend 84 over all their widths; the 34 order-5 graphs 161 at width 4
+    # 9..12 spend 84 over all their widths; the 34 order-5 graphs 159 at width 4
     for argv, total in ((("solve", "K3,3"), 12),
                         (("table", "cycles", "9..12"), 84),
-                        (("survey", "--order", "5", "--k", "4"), 161)):
+                        (("survey", "--order", "5", "--k", "4"), 159)):
         code, out, err = run(capsys, *argv, "--node-limit", str(total - 1))
         assert code == 4 and f"({total - 1} in all)" in err and out == "", argv
         code, out, _ = run(capsys, *argv, "--node-limit", str(total))
@@ -147,9 +156,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 @pytest.mark.slow
 def test_solve_c15_node_limit_counts_every_width(capsys):
-    # width 5 is refuted in exactly 44,469 nodes, so width 6 gets none
-    code, out, err = run(capsys, "solve", "C15", "--node-limit", "44469")
-    assert code == 4 and "at width 6 after 0 nodes (44469 in all)" in err and out == ""
+    # width 5 is refuted in exactly 18,513 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "18513")
+    assert code == 4 and "at width 6 after 0 nodes (18513 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,6 +18,7 @@ from drn.graphs import (
     nonisomorphic_graphs,
     pair_orbit,
     parse_family,
+    tuple_orbit,
 )
 from drn import graphs
 from reference import automorphisms, edge_cliques, induced
@@ -216,15 +217,40 @@ def test_pair_orbits_match_every_relabelling():
                     assert pair_orbit(g, u, v) == want, (graph6_encode(g), u, v)
 
 
+def test_three_paths_of_cycles_and_paths():
+    # the ordered 3-paths (i, i+1, i+2) of C_n form one orbit of 2n triples;
+    # in P_n, (1, 2, 3) reaches only its mirror
+    for n in range(5, 17):
+        g = G(f"C{n}")
+        want = {(i, (i + 1) % n, (i + 2) % n) for i in range(n)}
+        want |= {(c, b, a) for a, b, c in want}
+        assert tuple_orbit(g, (0, 1, 2)) == want and len(want) == 2 * n, n
+        assert tuple_orbit(G(f"P{n}"), (1, 2, 3)) == {(1, 2, 3), (n - 2, n - 3, n - 4)}, n
+
+
+def test_triple_orbits_match_every_relabelling():
+    for n in range(3, 6):
+        for g in nonisomorphic_graphs(n):
+            auts = automorphisms(g)
+            for vs in permutations(range(n), 3):
+                want = {tuple(p[v] for v in vs) for p in auts}
+                assert tuple_orbit(g, vs) == want, (graph6_encode(g), vs)
+
+
 def test_capped_orbit_search_only_leaves_pairs_out(monkeypatch):
-    # a search cut short reports part of the orbit, never a pair outside it
+    # a search cut short reports part of the orbit, never a pair or triple outside it
     for g in (G("C7"), G("K3,3"), G("K2,4"), G("P7")):
         u, v = next(g.edges())
-        orbit = {tuple(sorted((p[u], p[v]))) for p in automorphisms(g)}
+        w = next(x for x in range(g.n) if x not in (u, v))
+        auts = automorphisms(g)
+        orbit = {tuple(sorted((p[u], p[v]))) for p in auts}
+        triples = {(p[u], p[v], p[w]) for p in auts}
         for cap in range(0, 6):
             monkeypatch.setattr(graphs, "ORBIT_REFINEMENT_CAP", cap)
             got = pair_orbit(g, u, v)
             assert (u, v) in got and got <= orbit, (g, cap)
+            got = tuple_orbit(g, (u, v, w))
+            assert (u, v, w) in got and got <= triples, (g, cap)
 
 
 def test_is_automorphism():

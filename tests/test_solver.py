@@ -20,6 +20,7 @@ from drn.solver import (
     WidthCapError,
     _agreement,
     _class_representatives,
+    _conjugator,
     _images,
     _masks,
     _representative_stabiliser,
@@ -106,7 +107,7 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 4402),
+    ("C16", 5, 4226),
     ("C16", 7, 15),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
@@ -122,7 +123,14 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 44469
+    assert verdict == "no" and witness is None and stats.nodes == 18513
+
+
+@pytest.mark.slow
+def test_c17_width5_refutation_repeats_c15():
+    # the search walks the path prefix, so C17 is refuted by C15's tree
+    verdict, witness, stats = is_k_representable(G("C17"), 5)
+    assert verdict == "no" and witness is None and stats.nodes == 18513
 
 
 @pytest.mark.slow
@@ -285,6 +293,87 @@ def test_label_rule_is_lazy(monkeypatch):
     monkeypatch.setattr(solver, "pair_orbit", refuse)
     for spec, k in (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8)):
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
+
+
+def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
+    # against the same search with O3 cut down to (v1, v2, v3), where the
+    # rule bans nothing the orbit rule does not, the verdict and the witness
+    # are identical
+    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
+    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
+    cases += [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
+    barred = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+    for (g, k), (verdict, witness, stats) in zip(cases, barred):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes
+        if (g, k) == (G("C15"), 5):
+            assert stats.nodes < plain_stats.nodes
+
+
+# The order <= 6 cases, at widths 3..5, in which the triple rule skips a
+# candidate that the other reductions would have tried.
+TRIPLE_RULE_CASES = [("D}o", 4), ("D~w", 5)]
+TRIPLE_RULE_CASES_ORDER_SIX = [
+    ("E_??", 4), ("EK??", 4), ("E}a?", 4), ("E}o?", 4), ("E}q?", 4), ("E}r?", 4),
+    ("Exr?", 4), ("Elr?", 4), ("E~r?", 4), ("E~w?", 5), ("Efz?", 4), ("EVz?", 4),
+    ("E~z?", 4), ("E~z?", 5), ("Efz_", 4), ("E~z_", 5), ("E~N?", 4), ("Ezn?", 4),
+    ("E~~?", 4), ("E~v_", 4), ("E~v_", 5), ("E~~_", 5), ("E}~o", 4), ("E}~o", 5),
+    ("E~~o", 5), ("E~~w", 5),
+]
+
+
+def _check_triple_rule_cases(cases, monkeypatch):
+    plain = {}
+    with monkeypatch.context() as m:
+        m.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+        for g6, k in cases:
+            plain[g6, k] = is_k_representable(G(f"g6:{g6}"), k)[2].nodes
+    for g6, k in cases:
+        g = G(f"g6:{g6}")
+        verdict, _, stats = is_k_representable(g, k)
+        assert stats.nodes < plain[g6, k], (g6, k)  # the rule fires here
+        assert (verdict == "yes") == _unreduced_search(g, k), (g6, k)
+
+
+def test_differential_triple_rule_cases(monkeypatch):
+    _check_triple_rule_cases(TRIPLE_RULE_CASES, monkeypatch)
+
+
+@pytest.mark.slow
+def test_differential_triple_rule_cases_order_six(monkeypatch):
+    _check_triple_rule_cases(TRIPLE_RULE_CASES_ORDER_SIX, monkeypatch)
+
+
+def test_triple_rule_is_lazy(monkeypatch):
+    # searches in which no refutation of the third vertex leaves candidates
+    # compute no triple orbit
+    def refuse(g, vs):
+        raise AssertionError("tuple_orbit called")
+
+    monkeypatch.setattr(solver, "tuple_orbit", refuse)
+    for spec, k in (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8)):
+        assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
+
+
+def test_skip_counter_repeats():
+    # the orbit and triple rules' skips are deterministic, and C15 at width 5 has some
+    first, second = (is_k_representable(G("C15"), 5)[2] for _ in range(2))
+    assert (first.nodes, first.skips) == (second.nodes, second.skips)
+    assert first.skips > 0
+
+
+def test_conjugator_conjugates_within_a_class():
+    for k in range(1, 6):
+        reps = _class_representatives(k)
+        for rho in reps:
+            for beta in all_perms(k):
+                t = _conjugator(rho, beta)
+                if t is None:
+                    assert sorted(map(len, cycles(beta))) != sorted(map(len, cycles(rho)))
+                else:
+                    assert compose(t, compose(rho, inverse(t))) == beta, (rho, beta)
 
 
 def test_differential_order_six_hypothesis():
