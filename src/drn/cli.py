@@ -150,8 +150,8 @@ def _solve_payload(spec: str, res) -> dict:
         "refuted": list(res.ks_refuted),
         "witness_source": res.witness_source,
         "witness": write_matrix(res.witness),
-        "stats": {str(k): {"nodes": s.nodes, "skips": s.skips, "millis": round(s.millis, 3),
-                           "verdict": s.verdict}
+        "stats": {str(k): {"nodes": s.nodes, "skips": s.skips, "hall_closed": s.hall_closed,
+                           "millis": round(s.millis, 3), "verdict": s.verdict}
                   for k, s in res.stats.items()},
     }
 

@@ -4,7 +4,8 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under five symmetry reductions:
+bitset candidate propagation, under five symmetry reductions and the
+distinct-images check (after them):
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
@@ -114,7 +115,29 @@ bitset candidate propagation, under five symmetry reductions:
   where the label rule already bars rho's class.  O3 is computed when a
   refutation at v3 first leaves candidates.
 
-Refutations are exhaustive under exactly these five reductions.
+The distinct-images check closes a node whose unassigned vertices cannot all
+get different images.  Every assigned image r lies outside every candidate
+set, since both the Cayley row of r and its other non-neighbours exclude r.
+So a completion is a system of distinct representatives (SDR) of the
+candidate sets of the unassigned vertices, one image from each set, that
+also meets their mutual adjacencies; when the sets have no SDR there is no
+completion, and the node is closed like a wipe-out.  By Hall's theorem (P.
+Hall, "On representatives of subsets", J. London Math. Soc. 1935) an SDR
+fails to exist iff some j sets have fewer than j elements in their union, so
+the check (the failure test of the all-different constraint: Regin, "A
+filtering algorithm for constraints of difference in CSPs", AAAI 1994) is a
+bipartite matching, ``_distinct``, recomputed at each node.  A violator of j
+<= n sets (n unassigned vertices) holds only sets of fewer than j
+candidates, so the matching runs only when the smallest set has fewer than n
+candidates, and only on the sets that do; it is exact all the same.  A
+closed node has no completion, so the orbit, label and triple rules, which
+read a failure as "no completion", hold with it.  The check never narrows a
+candidate set, so fail-first order, every node the search still visits,
+every verdict and every witness are those of the search without it; only
+node counts fall.
+
+Refutations are exhaustive under exactly these five reductions and the
+distinct-images check.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  Each assignment narrows the candidate sets of the unassigned
@@ -180,6 +203,7 @@ class SearchStats:
     millis: float = 0.0
     verdict: str = ""
     skips: int = 0  # candidates the orbit and triple rules dropped without a node
+    hall_closed: int = 0  # nodes closed because the unassigned vertices have no distinct images
 
 
 @dataclass(frozen=True)
@@ -408,14 +432,51 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     return tuple(t)
 
 
-def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | None, int]:
-    """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict,
-    for "yes" the image of every vertex in vertex order, and the number of
-    candidates the orbit and triple rules skipped."""
+def _distinct(sets: list[int]) -> bool:
+    """Whether the bitsets ``sets`` have a system of distinct representatives,
+    one bit from each, no bit twice.  Each set in turn takes a free bit if it
+    has one, else the matching grows along an augmenting path, found breadth
+    first (Kuhn).  When a set has none, the matching is maximum (Berge) and
+    leaves that set out, so the family has no such system."""
+    owner: dict[int, int] = {}  # each matched bit -> the index of its set
+    match = [0] * len(sets)  # each set's matched bit
+    used = 0
+    for i, s in enumerate(sets):
+        j, free = i, s & ~used
+        if not free:
+            parent: dict[int, int] = {}  # a bit reached -> the set it was reached from
+            seen, queue = 0, [i]
+            for j in queue:
+                reach = sets[j] & ~seen
+                free = reach & ~used
+                if free:
+                    break
+                seen |= reach
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    parent[low] = j
+                    queue.append(owner[low])
+            else:
+                return False
+        bit = free & -free
+        used |= bit
+        while j != i:  # each set on the path takes the bit after it
+            match[j], bit = bit, match[j]
+            owner[match[j]] = j
+            j = parent[bit]
+        match[i], owner[bit] = bit, i
+    return True
+
+
+def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
+    """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict
+    and, for "yes", the image of every vertex in vertex order; the candidates
+    skipped and the nodes closed by the distinct-images check are counted in
+    ``stats``."""
     full = (1 << factorial(k)) - 1
     images = [0] * g.n  # the rank of each assigned vertex's image
     order = degree_order(g)
-    skips = 0
     # The label rule's state: the refuted classes of the second vertex (by
     # their representatives), and each vertex's partners in E0 as a bitset,
     # filled in when the first class is refuted.
@@ -435,9 +496,10 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
 
     def branch(rest: list[int], masks: list[int], u: int, r: int):
         """Propagate u = r to the unassigned vertices ``rest`` (in degree
-        order) with candidate sets ``masks``.  Returns None on a wipe-out,
-        else the vertex with the fewest candidates (the earliest on a tie),
-        its candidates, and the other vertices and their candidates."""
+        order) with candidate sets ``masks``.  Returns None on a wipe-out or
+        when the new sets have no distinct representatives, else the vertex
+        with the fewest candidates (the earliest on a tie), its candidates,
+        and the other vertices and their candidates."""
         non = _agreement(k, r)
         row = full ^ non
         non ^= 1 << r
@@ -450,6 +512,10 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
         sizes = list(map(int.bit_count, new))
         least = min(sizes)
         if not least:
+            return None
+        n = len(sizes)  # a Hall violator of j sets has only sets of fewer than j <= n
+        if least < n and not _distinct([m for m, size in zip(new, sizes) if size < n]):
+            stats.hall_closed += 1
             return None
         i = sizes.index(least)
         return rest[i], new[i], rest[:i] + rest[i + 1:], new[:i] + new[i + 1:]
@@ -486,7 +552,7 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
         the assigned vertices.  The stabiliser G of the images assigned so far
         is the set of elements of ``group`` that fix the ranks ``fixed``
         (``_stabiliser``); it is built only when a failure leaves candidates."""
-        nonlocal banned, triples, rho, refuted, normalisers, skips
+        nonlocal banned, triples, rho, refuted, normalisers
         if done == third:  # a new third-vertex frame: no triple bans yet
             triples = None
         tests = checks(u, done) if triples is not None and triples[u] else ()
@@ -497,7 +563,7 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
             if tests:  # the triple rule
                 c = _perm(k, r)
                 if any(tuple([lut[c[j]] for j in t0]) in refuted for lut, t0 in tests):
-                    skips += 1
+                    stats.skips += 1
                     continue
             if not budget.spend():
                 return "unknown"
@@ -539,14 +605,14 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
                 refuted |= orbit
                 tests = checks(u, done)
             drop = sum(1 << rank_perm(q) for q in orbit) & bits
-            skips += drop.bit_count()
+            stats.skips += drop.bit_count()
             bits ^= drop
         return "no"
 
     images[order[0]] = 0  # the identity
     first = branch(order[1:], [full] * (g.n - 1), order[0], 0)
     if first is None:
-        return "no", None, skips
+        return "no", None
     # Every class representative; the second vertex's candidates, once the
     # identity is pinned, already hold only the admissible ones (derangements
     # when it is adjacent to v1, else the rest minus the identity).
@@ -555,8 +621,8 @@ def _search(g: Graph, k: int, budget: Budget) -> tuple[str, tuple[Perm, ...] | N
     second, third = 1 << order[0], 1 << order[0] | 1 << v2  # ``done`` at v2 and v3
     verdict = dfs(v2, bits2 & rep_mask, rest, masks, second, None, ())
     if verdict != "yes":
-        return verdict, None, skips
-    return verdict, tuple(unrank_perm(r, k) for r in images), skips
+        return verdict, None
+    return verdict, tuple(unrank_perm(r, k) for r in images)
 
 
 def is_k_representable(
@@ -566,9 +632,10 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the five symmetry reductions in
-    the module docstring; ``stats.skips`` counts the candidates the orbit and
-    triple rules dropped without spending a node.
+    A "no" is an exhaustive refutation under the five symmetry reductions and
+    the distinct-images check in the module docstring; ``stats.skips`` counts
+    the candidates the orbit and triple rules dropped without spending a node,
+    and ``stats.hall_closed`` the nodes the distinct-images check closed.
     """
     if k < 1:
         raise ValueError("width must be >= 1")
@@ -578,7 +645,7 @@ def is_k_representable(
     if budget is None:
         budget = Budget()
     spent_before = budget.nodes
-    skips = 0
+    stats = SearchStats()
     if g.n > factorial(k):
         verdict, rows = "no", None
     elif g.n == 1:
@@ -586,15 +653,15 @@ def is_k_representable(
     elif budget.expired():
         verdict, rows = "unknown", None
     else:
-        verdict, rows, skips = _search(g, k, budget)
+        verdict, rows = _search(g, k, budget, stats)
     witness = None
     if rows is not None:
         witness = RepresentationMatrix(rows)
         rep = verify(g, witness)
         if not rep.valid:  # soundness guard; must never happen
             raise RuntimeError(f"internal error: search produced an invalid witness: {rep.violations}")
-    stats = SearchStats(nodes=budget.nodes - spent_before,
-                        millis=(time.monotonic() - start) * 1000.0, verdict=verdict, skips=skips)
+    stats.nodes, stats.verdict = budget.nodes - spent_before, verdict
+    stats.millis = (time.monotonic() - start) * 1000.0
     return verdict, witness, stats
 
 

@@ -4,10 +4,11 @@ Nothing here is used by ``drn`` itself: each helper is the slow, obvious
 version of a fact the tests check (permutation composition and the
 adjacency test, a decision by enumeration, the position masks by a scan of
 S_k, an induced subgraph, a relabelling, the automorphisms of a graph by
-trying every relabelling, a symmetry action on a matrix).
+trying every relabelling, a symmetry action on a matrix, Hall's condition
+over every subfamily).
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from drn.graphs import CliqueDecomposition, Graph
@@ -42,6 +43,19 @@ def brute_force_oracle(g: Graph, k: int) -> bool:
         if all(disagree_everywhere(chosen[i], chosen[j]) == g.has_edge(i, j) for i, j in pairs):
             return True
     return False
+
+
+def has_distinct_representatives(sets) -> bool:
+    """Hall's condition on the bitsets ``sets``: every subfamily's union has
+    at least as many bits as the subfamily has sets."""
+    for size in range(1, len(sets) + 1):
+        for family in combinations(sets, size):
+            union = 0
+            for s in family:
+                union |= s
+            if union.bit_count() < size:
+                return False
+    return True
 
 
 def position_masks(k: int) -> tuple[tuple[int, ...], ...]:

@@ -119,6 +119,15 @@ def test_solve_reports_skips_per_width(capsys):
     assert "width 4: no after 9 nodes, 9 skipped (" in out
 
 
+def test_solve_reports_hall_closings_per_width(capsys):
+    # one of K3,3's 6 width-4 nodes is closed by the distinct-images check
+    code, out, _ = run(capsys, "solve", "K3,3", "--format", "json")
+    width4 = json.loads(out)["stats"]["4"]
+    assert (width4["verdict"], width4["nodes"], width4["hall_closed"]) == ("no", 6, 1)
+    code, out, _ = run(capsys, "solve", "K3,3")
+    assert "width 4: no after 6 nodes, 8 skipped (" in out
+
+
 def test_solve_budget_exit_4(capsys):
     code, _, err = run(capsys, "solve", "K3,3", "--node-limit", "3")
     assert code == 4 and "budget" in err
@@ -127,11 +136,11 @@ def test_solve_budget_exit_4(capsys):
 
 
 def test_budget_bounds_the_whole_command(capsys):
-    # node totals: K3,3 spends 7 nodes at width 4 and 5 at width 5; cycles
-    # 9..12 spend 84 over all their widths; the 34 order-5 graphs 159 at width 4
-    for argv, total in ((("solve", "K3,3"), 12),
-                        (("table", "cycles", "9..12"), 84),
-                        (("survey", "--order", "5", "--k", "4"), 159)):
+    # node totals: K3,3 spends 6 nodes at width 4 and 5 at width 5; cycles
+    # 9..12 spend 71 over all their widths; the 34 order-5 graphs 152 at width 4
+    for argv, total in ((("solve", "K3,3"), 11),
+                        (("table", "cycles", "9..12"), 71),
+                        (("survey", "--order", "5", "--k", "4"), 152)):
         code, out, err = run(capsys, *argv, "--node-limit", str(total - 1))
         assert code == 4 and f"({total - 1} in all)" in err and out == "", argv
         code, out, _ = run(capsys, *argv, "--node-limit", str(total))
@@ -156,9 +165,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 @pytest.mark.slow
 def test_solve_c15_node_limit_counts_every_width(capsys):
-    # width 5 is refuted in exactly 18,513 nodes, so width 6 gets none
-    code, out, err = run(capsys, "solve", "C15", "--node-limit", "18513")
-    assert code == 4 and "at width 6 after 0 nodes (18513 in all)" in err and out == ""
+    # width 5 is refuted in exactly 4,541 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "4541")
+    assert code == 4 and "at width 6 after 0 nodes (4541 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

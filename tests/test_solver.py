@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 from math import factorial
 
 import pytest
@@ -21,6 +22,7 @@ from drn.solver import (
     _agreement,
     _class_representatives,
     _conjugator,
+    _distinct,
     _images,
     _masks,
     _representative_stabiliser,
@@ -29,7 +31,14 @@ from drn.solver import (
     solve_drn,
     survey,
 )
-from reference import brute_force_oracle, compose, disagree_everywhere, induced, position_masks
+from reference import (
+    brute_force_oracle,
+    compose,
+    disagree_everywhere,
+    has_distinct_representatives,
+    induced,
+    position_masks,
+)
 
 
 def G(spec):
@@ -107,12 +116,12 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 4226),
+    ("C16", 5, 655),
     ("C16", 7, 15),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
-    ("C21", 6, 7663),
-    ("P15", 5, 8026),
+    ("C21", 6, 3634),
+    ("P15", 5, 1031),
 ])
 def test_wide_decisions_and_node_counts(spec, k, nodes):
     verdict, witness, stats = is_k_representable(G(spec), k)
@@ -120,31 +129,44 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
     assert stats.nodes == nodes
 
 
+# Cold first decisions at widths 5, 6 and 8, then C16 and K4,6 at width 8.
+WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
+
+
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 18513
+    assert verdict == "no" and witness is None and stats.nodes == 4541
 
 
 @pytest.mark.slow
-def test_c17_width5_refutation_repeats_c15():
-    # the search walks the path prefix, so C17 is refuted by C15's tree
+def test_c17_width5_refutation_node_count():
+    # the search walks C15's path prefix, but with two more unassigned
+    # vertices the distinct-images check closes nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 18513
+    assert verdict == "no" and witness is None and stats.nodes == 1716
 
 
 @pytest.mark.slow
 def test_p16_width5_refutation_node_count():
     # with P15 at width 5 (above), the longest induced path of the width-5 graph has 15 vertices
     verdict, witness, stats = is_k_representable(G("P16"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 159526
+    assert verdict == "no" and witness is None and stats.nodes == 10819
 
 
 @pytest.mark.slow
 def test_c22_width6_decision_node_count():
     verdict, witness, stats = is_k_representable(G("C22"), 6)
     assert verdict == "yes" and witness.k == 6 and verify(G("C22"), witness).valid
-    assert stats.nodes == 960534
+    assert stats.nodes == 278370
+
+
+@pytest.mark.slow
+def test_p22_width6_decision_node_count():
+    # every induced subpath of an induced path is one, so drn(P16..P22) = 6
+    verdict, witness, stats = is_k_representable(G("P22"), 6)
+    assert verdict == "yes" and witness.k == 6 and verify(G("P22"), witness).valid
+    assert stats.nodes == 204570
 
 
 def test_class_representatives_are_least_in_their_class():
@@ -269,12 +291,18 @@ def test_differential_symmetric_graphs():
             assert (is_k_representable(G(spec), k)[0] == "yes") == _unreduced_search(G(spec), k), (spec, k)
 
 
+def _rule_corpus():
+    """Every graph of order <= 5 at widths 1..5, C7..C15 at widths 4 and 5,
+    K3,3 at width 4 and three larger "yes" searches."""
+    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
+    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
+    return cases + [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
+
+
 def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
     # against the same search with E0 cut down to {v1, v2}, where the rule
     # bans nothing, the verdict and the witness are identical
-    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
-    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
-    cases += [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
+    cases = _rule_corpus()
     banned = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
     for (g, k), (verdict, witness, stats) in zip(cases, banned):
@@ -291,7 +319,7 @@ def test_label_rule_is_lazy(monkeypatch):
         raise AssertionError("pair_orbit called")
 
     monkeypatch.setattr(solver, "pair_orbit", refuse)
-    for spec, k in (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8)):
+    for spec, k in WIDE_CALLS:
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
 
@@ -299,9 +327,7 @@ def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
     # against the same search with O3 cut down to (v1, v2, v3), where the
     # rule bans nothing the orbit rule does not, the verdict and the witness
     # are identical
-    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
-    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
-    cases += [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
+    cases = _rule_corpus()
     barred = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
     for (g, k), (verdict, witness, stats) in zip(cases, barred):
@@ -312,19 +338,23 @@ def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
             assert stats.nodes < plain_stats.nodes
 
 
-# The order <= 6 cases, at widths 3..5, in which the triple rule skips a
+# Every order <= 6 case, at widths 3..5, in which the triple rule skips a
 # candidate that the other reductions would have tried.
 TRIPLE_RULE_CASES = [("D}o", 4), ("D~w", 5)]
 TRIPLE_RULE_CASES_ORDER_SIX = [
-    ("E_??", 4), ("EK??", 4), ("E}a?", 4), ("E}o?", 4), ("E}q?", 4), ("E}r?", 4),
-    ("Exr?", 4), ("Elr?", 4), ("E~r?", 4), ("E~w?", 5), ("Efz?", 4), ("EVz?", 4),
-    ("E~z?", 4), ("E~z?", 5), ("Efz_", 4), ("E~z_", 5), ("E~N?", 4), ("Ezn?", 4),
-    ("E~~?", 4), ("E~v_", 4), ("E~v_", 5), ("E~~_", 5), ("E}~o", 4), ("E}~o", 5),
-    ("E~~o", 5), ("E~~w", 5),
+    ("E_??", 4), ("EK??", 4), ("E}a?", 4), ("E}o?", 4), ("E}q?", 4), ("Elr?", 4),
+    ("E~w?", 5), ("Efz?", 4), ("EVz?", 4), ("E~z?", 5), ("Efz_", 4), ("E~z_", 5),
+    ("Ezn?", 4), ("E~v_", 5), ("E~~_", 5), ("E}~o", 5), ("E~~o", 5), ("E~~w", 5),
+]
+# Cases in which the rule fired before the distinct-images check, which now
+# closes those nodes first; they stay in the verdict differential.
+TRIPLE_RULE_FORMER_CASES = [
+    ("E}r?", 4), ("Exr?", 4), ("E~r?", 4), ("E~z?", 4), ("E~N?", 4), ("E~~?", 4),
+    ("E~v_", 4), ("E}~o", 4),
 ]
 
 
-def _check_triple_rule_cases(cases, monkeypatch):
+def _check_triple_rule_cases(cases, monkeypatch, fires=True):
     plain = {}
     with monkeypatch.context() as m:
         m.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
@@ -333,7 +363,7 @@ def _check_triple_rule_cases(cases, monkeypatch):
     for g6, k in cases:
         g = G(f"g6:{g6}")
         verdict, _, stats = is_k_representable(g, k)
-        assert stats.nodes < plain[g6, k], (g6, k)  # the rule fires here
+        assert (stats.nodes < plain[g6, k]) == fires, (g6, k)  # whether the rule fires here
         assert (verdict == "yes") == _unreduced_search(g, k), (g6, k)
 
 
@@ -344,6 +374,7 @@ def test_differential_triple_rule_cases(monkeypatch):
 @pytest.mark.slow
 def test_differential_triple_rule_cases_order_six(monkeypatch):
     _check_triple_rule_cases(TRIPLE_RULE_CASES_ORDER_SIX, monkeypatch)
+    _check_triple_rule_cases(TRIPLE_RULE_FORMER_CASES, monkeypatch, fires=False)
 
 
 def test_triple_rule_is_lazy(monkeypatch):
@@ -353,7 +384,7 @@ def test_triple_rule_is_lazy(monkeypatch):
         raise AssertionError("tuple_orbit called")
 
     monkeypatch.setattr(solver, "tuple_orbit", refuse)
-    for spec, k in (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8)):
+    for spec, k in WIDE_CALLS:
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
 
@@ -362,6 +393,53 @@ def test_skip_counter_repeats():
     first, second = (is_k_representable(G("C15"), 5)[2] for _ in range(2))
     assert (first.nodes, first.skips) == (second.nodes, second.skips)
     assert first.skips > 0
+
+
+def test_distinct_matches_hall_oracle():
+    # every family of at most 3 sets over at most 3 values, then random
+    # families of up to 7 sets over 8 values
+    for size in range(4):
+        for family in product(range(8), repeat=size):
+            assert _distinct(list(family)) == has_distinct_representatives(family), family
+    rng = random.Random(13)
+    for _ in range(3000):
+        width = rng.randint(1, 8)
+        family = [rng.getrandbits(width) for _ in range(rng.randint(1, 7))]
+        assert _distinct(family) == has_distinct_representatives(family), family
+
+
+def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
+    # the check closes only nodes without a completion and narrows no
+    # candidate set: against the same search without it, the verdict and the
+    # witness are identical
+    cases = _rule_corpus()
+    checked = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "_distinct", lambda sets: True)
+    for (g, k), (verdict, witness, stats) in zip(cases, checked):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes
+        assert plain_stats.hall_closed == 0
+        if (g, k) == (G("C15"), 5):
+            assert stats.nodes < plain_stats.nodes
+
+
+def test_distinct_check_is_lazy(monkeypatch):
+    # no candidate set of these searches is smaller than the number of
+    # unassigned vertices, so none reaches the matching
+    def refuse(sets):
+        raise AssertionError("_distinct called")
+
+    monkeypatch.setattr(solver, "_distinct", refuse)
+    for spec, k in WIDE_CALLS:
+        assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
+
+
+def test_hall_counter_repeats():
+    first, second = (is_k_representable(G("C15"), 5)[2] for _ in range(2))
+    assert (first.nodes, first.hall_closed) == (second.nodes, second.hall_closed)
+    assert first.hall_closed > 0
+    assert all(is_k_representable(G(spec), k)[2].hall_closed == 0 for spec, k in WIDE_CALLS)
 
 
 def test_conjugator_conjugates_within_a_class():
@@ -487,15 +565,15 @@ def test_zero_time_limit_searches_nothing():
 
 
 def test_budget_is_shared_across_calls():
-    # K3,3 spends 7 nodes refuting width 4 and 5 deciding width 5
-    budget = Budget(node_limit=11)
+    # K3,3 spends 6 nodes refuting width 4 and 5 deciding width 5
+    budget = Budget(node_limit=10)
     assert is_k_representable(G("K3,3"), 4, budget)[0] == "no"
     verdict, _, stats = is_k_representable(G("K3,3"), 5, budget)
-    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 11
+    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 10
     with pytest.raises(BudgetExhaustedError, match="at width 5 after 4 nodes"):
-        solve_drn(G("K3,3"), Budget(node_limit=11))
-    res = solve_drn(G("K3,3"), Budget(node_limit=12))
-    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 7, 5: 5}
+        solve_drn(G("K3,3"), Budget(node_limit=10))
+    res = solve_drn(G("K3,3"), Budget(node_limit=11))
+    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 6, 5: 5}
 
 
 def test_search_after_the_deadline_spends_nothing():
