@@ -21,10 +21,12 @@ from drn.graphs import (
     Graph,
     Graph6Error,
     MAX_ENUM_ORDER,
+    build_family,
     data_lines,
     graph6_decode,
     graph_from_spec_text,
     nonisomorphic_graphs,
+    parse_family,
     read_graph6_lines,
 )
 from drn.matrices import (
@@ -67,12 +69,10 @@ def _load_graph(spec: str) -> Graph:
             raise InputError(f"{path} has no graph line")
         text = lines[0]
     try:
-        return graph_from_spec_text(text)
-    except Graph6Error:
-        raise
-    except ValueError:
-        pass
-    return graph6_decode(text)  # bare graph6 line
+        spec = parse_family(text)
+    except ValueError:  # no family pattern matches: a bare graph6 line
+        return graph6_decode(text)
+    return build_family(spec)
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -4,7 +4,7 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under five symmetry reductions and the
+bitset candidate propagation, under four symmetry reductions and the
 distinct-images check (after them):
 
 * left translation: composing every image on the left by a fixed permutation
@@ -39,81 +39,58 @@ distinct-images check (after them):
   such a completion to one with u = r, keeping the assigned images.  So when
   u = r fails (its propagation empties a candidate set, or its subtree
   returns "no"), the whole orbit {g(r) : g in G_d-1} is dropped from u's
-  remaining candidates.  Only subtrees that would have failed are skipped,
-  so every verdict and every witness is the one the unpruned search finds;
-  only the node counts fall.  G_2 is built from rho's cycles, and each G_d
-  (from the nearest group built above it) only when a failure at that depth
-  leaves candidates, so a search in which nothing fails does no group work.
-* labels on the orbit of the first pair, a lex-leader-style rule over the
-  automorphisms of g (Gent, Petrie and Puget, "Symmetry in constraint
-  programming", Handbook of CP, 2006).  The label of a vertex pair {x, y}
-  under a representation pi is the cycle type of pi(x)^-1 o pi(y).  It is
-  symmetric (an inverse has the same cycle type) and unchanged by left
-  translation (t cancels), by conjugation (it conjugates the product) and by
-  the inversion maps of H (the product becomes a o pi(x) o pi(y)^-1 o a^-1,
-  conjugate to pi(y)^-1 o pi(x)).  Let E0 be the orbit of {v1, v2} under
-  Aut(g) (``graphs.pair_orbit``; every automorphism behind it is checked edge
-  by edge, and an orbit it leaves incomplete only bans less).  The second
-  vertex runs through the class representatives c_1, c_2, ... in rank order.
-  Claim: once the branches v2 = c_1 .. c_j have all returned "no", no
-  representation of g gives a pair of E0 a label among c_1 .. c_j.  By
-  induction on j: let pi give {x, y} in E0 the label of c_j, and take phi in
-  Aut(g) with {phi(v1), phi(v2)} = {x, y}.  Then pi o phi represents g and
-  gives {v1, v2} that label (labels are symmetric); translate it so that v1
-  goes to the identity, then conjugate so that v2 goes to c_j.  Its label on
-  a pair {a, b} is that of pi on {phi(a), phi(b)}, which is in E0 exactly
-  when {a, b} is, so by the induction hypothesis it gives no pair of E0 a
-  label among c_1 .. c_j-1: it is a completion of v2 = c_j that obeys the
-  bans in force there, and that branch would have found it.  So the search
-  keeps the set B of refuted classes.  When a class joins B, it is removed
-  from the candidates of v1's partners in E0 (a vertex's label with the
-  identity is its own class), and each assignment u = r removes r o C, for
-  every class C in B, from the candidates of u's unassigned partners.  B is a
-  union of conjugacy classes and H preserves labels, so an element of G_d
-  maps the banned set of each assigned image onto itself, and the orbit rule
-  holds with the bans in place.  The bans drop only candidates that no
-  representation uses, so no verdict changes.  They narrow candidate sets,
-  which could steer fail-first branching (below) to another first witness in
-  a later class; the tests check that it does not on their corpus.  E0 is
-  computed when the first class is refuted with classes left to try, so a
-  search whose first class succeeds does no automorphism work.
-* types on the orbit of the first triple: the label rule's induction one
-  level deeper.  Let A be the maps sigma -> a o sigma^e o b (a, b in S_k,
-  e = +-1): left and right translations (the second conjugates sigma^-1 o
-  tau by b) and inversion, each an automorphism of the Cayley graph.  The
-  type of an ordered vertex triple (x, y, z) under pi is the A-orbit of
-  (pi(x), pi(y), pi(z)), so it is invariant under translation, conjugation
-  and inversion.  The elements of A fixing the identity are H, and those
-  also fixing rho are G_2.  So a triple of images (p, p', c) with beta =
-  p^-1 o p' in rho's class has the normal form t^-1 o p^-1 o c o t, for any
-  t with t o rho o t^-1 = beta: A maps the triple to (id, rho, that form),
-  and two such triples have the same type iff their normal forms lie in one
-  G_2-orbit.  Let O3 be the orbit of (v1, v2, v3) under Aut(g)
-  (``graphs.tuple_orbit``; an incomplete orbit only bans less), and let the
-  candidates r_1, r_2, ... of the third vertex fail in turn, with v2 = rho;
-  B_j is the union of the G_2-orbits of r_1 .. r_j.  Claim: no
-  representation of g gives a triple of O3 a type whose normal form is in
-  B_j.  By induction on j: let pi give (x, y, z) in O3 such a type; by the
-  induction hypothesis its normal form is in the orbit of r_j.  Take phi in
-  Aut(g) with phi(v1, v2, v3) = (x, y, z) and the element of A that maps
-  (pi(x), pi(y), pi(z)) to (id, rho, r_j).  Composed with pi o phi it gives a
-  representation of g with v3 = r_j that gives each triple of O3 the type pi
-  gives its image under phi, which is in O3, so no type in B_j-1; like every
-  representation it obeys the label rule's bans.  So it is a completion of
-  v3 = r_j that obeys the bans in force there, and that branch would have
-  found it.  Hence, in the third vertex's frame, a candidate c for any
-  vertex z is skipped, without spending a node, when some (x, y, z) in O3
-  has x and y assigned and the normal form of (pi(x), pi(y), c) is in B.
-  For (v1, v2, v3) itself the normal form of c is c, so at v3 the rule is
-  the orbit rule's drop of G_2(r), which is kept in its place.  An element
-  of G_d lies in A and fixes the assigned images, so it preserves types and
-  the bans, and the orbit rule holds with them.  A skip never narrows a
-  candidate set, so fail-first branching, and with it every verdict and
-  every witness, is the unpruned search's; only node counts fall.  B lives
-  in the third vertex's frame: in the frames of later classes of v2 its
-  bans are vacuous, since each (x, y) of O3 is in the orbit of (v1, v2),
-  where the label rule already bars rho's class.  O3 is computed when a
-  refutation at v3 first leaves candidates.
+  remaining candidates.  The rule runs from the fourth vertex on: the second
+  vertex's candidates are one per class, an H-orbit each, and at the third
+  the type rule on (v1, v2, v3) drops the same orbit.  G_2 is built from
+  rho's cycles, and each G_d (from the nearest group built above it) only
+  when a failure at that depth leaves candidates, so a search in which
+  nothing fails does no group work.
+* types on the orbits of the first pair and the first triple, a
+  lex-leader-style rule over the automorphisms of g (Gent, Petrie and
+  Puget, "Symmetry in constraint programming", Handbook of CP, 2006).  Let
+  A be the maps sigma -> a o sigma^e o b (a, b in S_k, e = +-1): left and
+  right translations (the second conjugates sigma^-1 o tau by b) and
+  inversion, each an automorphism of the Cayley graph.  The type of an
+  ordered vertex tuple (x_1, .., x_j) under a representation pi is the
+  A-orbit of (pi(x_1), .., pi(x_j)).  The elements of A fixing the identity
+  are H, and those also fixing rho are G_2.  So the type of a pair of images
+  (p, p') is the class of p^-1 o p' (translate, then conjugate; inversion
+  keeps the class), the same for (p', p).  A triple of images (p, p', c)
+  with beta = p^-1 o p' in rho's class has the normal form
+  t^-1 o p^-1 o c o t, for any t with t o rho o t^-1 = beta: A maps the
+  triple to (id, rho, that form), and two such triples have the same type
+  iff their normal forms lie in one G_2-orbit.  Let O2 be the orbit of
+  (v1, v2) under Aut(g), taken in both orders (``graphs.pair_orbit``), and
+  O3 that of (v1, v2, v3) (``graphs.tuple_orbit``); every automorphism
+  behind them is checked edge by edge, and an orbit left incomplete only
+  bars less.  For j = 2, 3, the j-th vertex runs through its candidates
+  r_1, r_2, ... with v1 .. vj-1 assigned (v1 = id, v2 = rho), and B_j,i is
+  the set of types of (v1, .., vj) with vj among r_1 .. r_i: the classes of
+  r_1 .. r_i for j = 2, the G_2-orbits of r_1 .. r_i, as normal forms, for
+  j = 3.  Claim: once r_1 .. r_i have all failed, no representation of g
+  gives a tuple of O_j a type in B_j,i.  By induction on i: let pi give xs
+  in O_j such a type; by the induction hypothesis it is the type of r_i.
+  Take phi in Aut(g) with phi(v1, .., vj) = xs and the element of A that
+  maps pi(xs) to the images of v1 .. vj-1 and r_i.  Composed with pi o phi
+  it gives a representation of g with vj = r_i that gives each tuple of O_j
+  the type pi gives its image under phi, which is in O_j, so no type in
+  B_j,i-1; like every representation, it obeys the claim for pairs too.  So
+  it is a completion of vj = r_i that obeys the bans in force there, and
+  that branch would have found it.  Hence a candidate c of the vertex z
+  being branched on is skipped, without spending a node, when some tuple xs
+  with xs + (z,) in O2 or O3 is assigned and xs + (c,) has a type in B2 or
+  B3 (the class test is ``_unbanned``, the normal-form test the current
+  frame's normalisers).  The skips are made when z's frame opens, and at v3
+  again whenever B3 grows; for (v1, v2, v3) itself the normal form of c is
+  c, so there the rule drops the G_2-orbit of each refuted candidate.  B2
+  lasts the whole search; B3 lives in the current third-vertex frame, as in
+  the frames of later classes of v2 its bans are vacuous: each pair of
+  images in it has rho's class, which B2 then bars on O2.  An element of
+  G_d lies in A and fixes the assigned images, so it preserves types and
+  the bans, and the orbit rule holds with them.  O2 is computed when the
+  first class is refuted with classes left to try, and O3 when a refutation
+  at v3 first leaves candidates, so a search in which nothing fails there
+  does no automorphism work.
 
 The distinct-images check closes a node whose unassigned vertices cannot all
 get different images.  Every assigned image r lies outside every candidate
@@ -130,14 +107,24 @@ bipartite matching, ``_distinct``, recomputed at each node.  A violator of j
 <= n sets (n unassigned vertices) holds only sets of fewer than j
 candidates, so the matching runs only when the smallest set has fewer than n
 candidates, and only on the sets that do; it is exact all the same.  A
-closed node has no completion, so the orbit, label and triple rules, which
-read a failure as "no completion", hold with it.  The check never narrows a
-candidate set, so fail-first order, every node the search still visits,
-every verdict and every witness are those of the search without it; only
-node counts fall.
+closed node has no completion, so the orbit and type rules, which read a
+failure as "no completion", hold with it.
 
-Refutations are exhaustive under exactly these five reductions and the
-distinct-images check.
+No reduction narrows another vertex's candidate set: translation and
+conjugation fix v1's image and v2's candidates, the orbit and type rules
+only skip candidates of the vertex being branched on, and the
+distinct-images check only closes nodes.  Each skipped candidate and each closed node has no completion: by
+the claims above every representation obeys the type bans, so the orbit
+rule's failures, read under the bans, are failures outright.  Candidate sets
+depend only on the images assigned, so at every node that both visit, the
+search with the orbit rule, the type rule and the check off branches on the
+same vertex and tries the same candidates in the same order; it spends
+nodes below the dropped candidates and the closed nodes, finds nothing
+there, and goes on where this search does.  Hence every node visited is one
+it visits, the fail-first order is its order, and every verdict and every
+witness is its verdict and witness; only node counts fall.  Refutations are
+exhaustive under exactly these four reductions and the distinct-images
+check.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  Each assignment narrows the candidate sets of the unassigned
@@ -148,8 +135,8 @@ degree order, and v2 is its first neighbour if it has one).  Children get
 fresh lists, so backtracking restores nothing.  No reduction depends on this
 order: translation and conjugation hold for whichever vertices come first,
 and the orbit rule is about completions of the images assigned so far, not
-about the order in which the search meets the remaining vertices; the label
-and triple rules are about every representation of g.
+about the order in which the search meets the remaining vertices; the type
+rule is about every representation of g.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -202,7 +189,7 @@ class SearchStats:
     nodes: int = 0
     millis: float = 0.0
     verdict: str = ""
-    skips: int = 0  # candidates the orbit and triple rules dropped without a node
+    skips: int = 0  # candidates the orbit and type rules dropped without a node
     hall_closed: int = 0  # nodes closed because the unassigned vertices have no distinct images
 
 
@@ -477,22 +464,20 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     full = (1 << factorial(k)) - 1
     images = [0] * g.n  # the rank of each assigned vertex's image
     order = degree_order(g)
-    # The label rule's state: the refuted classes of the second vertex (by
-    # their representatives), and each vertex's partners in E0 as a bitset,
-    # filled in when the first class is refuted.
+    # The type rule's state: B2, the refuted classes of the second vertex (by
+    # their representatives); B3, the refuted normal forms of the current
+    # third-vertex frame, with the second vertex's image rho there and the
+    # normaliser of each pair of image ranks; and the links: for each vertex
+    # z, each tuple xs with xs + (z,) in O2 or O3, with the bitset of xs.  O2
+    # joins the links when the first class is refuted; O3, of the third
+    # vertex ``linked``, when a refutation there first leaves candidates,
+    # replacing the triples of an earlier third vertex.
     banned: tuple[Perm, ...] = ()
-    partners = [0] * g.n
-    # The triple rule's state, for the current third-vertex frame: for each
-    # vertex z, the pairs (x, y) with (x, y, z) in O3 other than (v1, v2, v3),
-    # with the bitset of {x, y} (None until a refutation there leaves
-    # candidates; kept in orbits3 by v3 for the frames of later classes); the
-    # second vertex's image rho; the refuted normal forms B; and the
-    # normaliser of each pair of image ranks.
-    orbits3: dict[int, list[list[tuple[int, int, int]]]] = {}
-    triples: list[list[tuple[int, int, int]]] | None = None
-    rho: Perm = ()
     refuted: set[Perm] = set()
+    rho: Perm = ()
     normalisers: dict[tuple[int, int], tuple | None] = {}
+    links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(g.n)]
+    linked = -1
 
     def branch(rest: list[int], masks: list[int], u: int, r: int):
         """Propagate u = r to the unassigned vertices ``rest`` (in degree
@@ -505,10 +490,6 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         non ^= 1 << r
         adj = g.adj[u]
         new = [m & (row if adj >> w & 1 else non) for w, m in zip(rest, masks)]
-        part = partners[u]
-        if part:  # the label rule (partners stay empty until a class is banned)
-            allowed = _unbanned(k, r, banned)
-            new = [m & allowed if part >> w & 1 else m for w, m in zip(rest, new)]
         sizes = list(map(int.bit_count, new))
         least = min(sizes)
         if not least:
@@ -532,19 +513,33 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         t_inv = inverse(t)
         return (0,) + tuple(t_inv[v - 1] for v in p_inv), tuple(v - 1 for v in t)
 
-    def checks(u: int, done: int) -> list:
-        """The normalisers of the assigned pairs (x, y) with (x, y, u) in O3,
-        memoised per pair of image ranks."""
-        out = []
-        for x, y, both in triples[u]:
-            if done & both == both:
-                key = images[x], images[y]
+    def type_rule(z: int, bits: int, done: int) -> int:
+        """The type rule: the candidates in ``bits`` of the vertex z that give
+        no linked tuple xs + (z,) with xs assigned (in ``done``) a refuted
+        type; the others count as skips."""
+        allowed, forms = bits, []
+        for xs, both in links[z]:
+            if done & both != both:
+                continue
+            if len(xs) == 1:
+                allowed &= _unbanned(k, images[xs[0]], banned)
+            elif refuted:
+                key = images[xs[0]], images[xs[1]]
                 nf = normalisers.get(key, False)
                 if nf is False:
                     nf = normalisers[key] = normaliser(*key)
                 if nf is not None:
-                    out.append(nf)
-        return out
+                    forms.append(nf)
+        if forms:
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = _perm(k, low.bit_length() - 1)
+                if any(tuple([lut[c[j]] for j in t0]) in refuted for lut, t0 in forms):
+                    allowed ^= low
+        stats.skips += (bits ^ allowed).bit_count()
+        return allowed
 
     def dfs(u: int, bits: int, rest: list[int], masks: list[int], done: int,
             group, fixed: tuple[int, ...]) -> str:
@@ -552,19 +547,15 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         the assigned vertices.  The stabiliser G of the images assigned so far
         is the set of elements of ``group`` that fix the ranks ``fixed``
         (``_stabiliser``); it is built only when a failure leaves candidates."""
-        nonlocal banned, triples, rho, refuted, normalisers
-        if done == third:  # a new third-vertex frame: no triple bans yet
-            triples = None
-        tests = checks(u, done) if triples is not None and triples[u] else ()
+        nonlocal banned, refuted, rho, normalisers, linked
+        if done == third:  # a new third-vertex frame: B3 starts empty
+            refuted, rho, normalisers = set(), _perm(k, images[v2]), {}
+        if links[u]:
+            bits = type_rule(u, bits, done)
         while bits:
             low = bits & -bits
             r = low.bit_length() - 1
             bits ^= low
-            if tests:  # the triple rule
-                c = _perm(k, r)
-                if any(tuple([lut[c[j]] for j in t0]) in refuted for lut, t0 in tests):
-                    stats.skips += 1
-                    continue
             if not budget.spend():
                 return "unknown"
             images[u] = r
@@ -577,36 +568,28 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                     return sub
             if not bits:
                 break
-            if done == second:  # the label rule: no pair of E0 has r's class
+            if done == second:  # the type rule: B2 gains r's class
                 if not banned:
                     for x, y in pair_orbit(g, order[0], u):
-                        partners[x] |= 1 << y
-                        partners[y] |= 1 << x
+                        links[x].append(((y,), 1 << y))
+                        links[y].append(((x,), 1 << x))
                 banned += (unrank_perm(r, k),)
-                allowed, part = _unbanned(k, 0, banned), partners[order[0]]
-                masks = [m & allowed if part >> w & 1 else m for w, m in zip(rest, masks)]
                 continue
-            # the orbit rule: u = h(r) fails too, for every h in G
             if fixed:
                 group, fixed = _stabiliser(group, fixed, k), ()
-            if len(group) == 1 and done != third:
-                continue  # the orbit of r is r alone
-            orbit = set(_images(group, _perm(k, r)))
-            if done == third:  # the triple rule: B gains the orbit
-                if triples is None:
-                    if u not in orbits3:
-                        base = (order[0], v2, u)
-                        orbits3[u] = [[] for _ in range(g.n)]
-                        for x, y, z in tuple_orbit(g, base):
-                            if (x, y, z) != base:  # the orbit rule covers it
-                                orbits3[u][z].append((x, y, 1 << x | 1 << y))
-                    triples = orbits3[u]
-                    rho, refuted, normalisers = _perm(k, images[v2]), set(), {}
-                refuted |= orbit
-                tests = checks(u, done)
-            drop = sum(1 << rank_perm(q) for q in orbit) & bits
-            stats.skips += drop.bit_count()
-            bits ^= drop
+            if done == third:  # the type rule: B3 gains the G_2-orbit of r
+                if linked != u:
+                    for z in range(g.n):
+                        links[z] = [link for link in links[z] if len(link[0]) == 1]
+                    for x, y, z in tuple_orbit(g, (order[0], v2, u)):
+                        links[z].append(((x, y), 1 << x | 1 << y))
+                    linked = u
+                refuted.update(_images(group, _perm(k, r)))
+                bits = type_rule(u, bits, done)
+            elif len(group) > 1:  # the orbit rule (fourth vertex on): u = h(r) fails too, for h in G
+                drop = sum(1 << rank_perm(q) for q in set(_images(group, _perm(k, r)))) & bits
+                stats.skips += drop.bit_count()
+                bits ^= drop
         return "no"
 
     images[order[0]] = 0  # the identity
@@ -632,9 +615,11 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the five symmetry reductions and
-    the distinct-images check in the module docstring; ``stats.skips`` counts
-    the candidates the orbit and triple rules dropped without spending a node,
+    A "no" is an exhaustive refutation under the four symmetry reductions and
+    the distinct-images check in the module docstring.  None of them narrows
+    another vertex's candidate set, so a "yes" returns the witness of the
+    same search with the orbit rule, the type rule and the check off.  ``stats.skips`` counts
+    the candidates the orbit and type rules dropped without spending a node,
     and ``stats.hall_closed`` the nodes the distinct-images check closed.
     """
     if k < 1:

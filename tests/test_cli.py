@@ -84,6 +84,16 @@ def test_construct_stdout_is_the_certificate(tmp_path, capsys):
 def test_construct_bad_family_exit_2(capsys):
     code, _, err = run(capsys, "construct", "Qx7")
     assert code == 2
+    # a family name with a parameter out of range is reported as such, not
+    # re-read as graph6
+    for spec, message in (("C2", "C_n needs n >= 3"), ("K0", "K_n needs n >= 1"),
+                          ("E0", "E_n needs n >= 1"), ("P0", "P_n needs n >= 1"),
+                          ("K1,0", "K_{r,s} needs r, s >= 1"),
+                          ("K3-P5", "K_n - P_k needs 2 <= k <= n"),
+                          ("K5-C2", "K_n - C_k needs 3 <= k <= n")):
+        for command in ("construct", "solve"):
+            code, out, err = run(capsys, command, spec)
+            assert (code, out) == (2, "") and message in err, (command, spec)
 
 
 def test_bounds_json(capsys):
@@ -111,21 +121,21 @@ def test_solve_examples(capsys):
 
 
 def test_solve_reports_skips_per_width(capsys):
-    # C7's width-4 refutation spends 9 nodes and skips 9 candidates
+    # C7's width-4 refutation spends 9 nodes and skips 15 candidates
     code, out, _ = run(capsys, "solve", "C7", "--format", "json")
     width4 = json.loads(out)["stats"]["4"]
-    assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 9)
+    assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 15)
     code, out, _ = run(capsys, "solve", "C7")
-    assert "width 4: no after 9 nodes, 9 skipped (" in out
+    assert "width 4: no after 9 nodes, 15 skipped (" in out
 
 
 def test_solve_reports_hall_closings_per_width(capsys):
-    # one of K3,3's 6 width-4 nodes is closed by the distinct-images check
-    code, out, _ = run(capsys, "solve", "K3,3", "--format", "json")
+    # one of C9's 8 width-4 nodes is closed by the distinct-images check
+    code, out, _ = run(capsys, "solve", "C9", "--format", "json")
     width4 = json.loads(out)["stats"]["4"]
-    assert (width4["verdict"], width4["nodes"], width4["hall_closed"]) == ("no", 6, 1)
-    code, out, _ = run(capsys, "solve", "K3,3")
-    assert "width 4: no after 6 nodes, 8 skipped (" in out
+    assert (width4["verdict"], width4["nodes"], width4["hall_closed"]) == ("no", 8, 1)
+    code, out, _ = run(capsys, "solve", "C9")
+    assert "width 4: no after 8 nodes, 13 skipped (" in out
 
 
 def test_solve_budget_exit_4(capsys):
@@ -136,11 +146,11 @@ def test_solve_budget_exit_4(capsys):
 
 
 def test_budget_bounds_the_whole_command(capsys):
-    # node totals: K3,3 spends 6 nodes at width 4 and 5 at width 5; cycles
-    # 9..12 spend 71 over all their widths; the 34 order-5 graphs 152 at width 4
-    for argv, total in ((("solve", "K3,3"), 11),
+    # node totals: K3,3 spends 7 nodes at width 4 and 5 at width 5; cycles
+    # 9..12 spend 71 over all their widths; the 34 order-5 graphs 153 at width 4
+    for argv, total in ((("solve", "K3,3"), 12),
                         (("table", "cycles", "9..12"), 71),
-                        (("survey", "--order", "5", "--k", "4"), 152)):
+                        (("survey", "--order", "5", "--k", "4"), 153)):
         code, out, err = run(capsys, *argv, "--node-limit", str(total - 1))
         assert code == 4 and f"({total - 1} in all)" in err and out == "", argv
         code, out, _ = run(capsys, *argv, "--node-limit", str(total))
@@ -165,9 +175,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 @pytest.mark.slow
 def test_solve_c15_node_limit_counts_every_width(capsys):
-    # width 5 is refuted in exactly 4,541 nodes, so width 6 gets none
-    code, out, err = run(capsys, "solve", "C15", "--node-limit", "4541")
-    assert code == 4 and "at width 6 after 0 nodes (4541 in all)" in err and out == ""
+    # width 5 is refuted in exactly 4,558 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "4558")
+    assert code == 4 and "at width 6 after 0 nodes (4558 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

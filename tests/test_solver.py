@@ -136,7 +136,7 @@ WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
 @pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 4541
+    assert verdict == "no" and witness is None and stats.nodes == 4558
 
 
 @pytest.mark.slow
@@ -144,7 +144,7 @@ def test_c17_width5_refutation_node_count():
     # the search walks C15's path prefix, but with two more unassigned
     # vertices the distinct-images check closes nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 1716
+    assert verdict == "no" and witness is None and stats.nodes == 1721
 
 
 @pytest.mark.slow
@@ -285,7 +285,7 @@ def test_orbit_pruning_keeps_every_verdict_and_witness(monkeypatch):
 
 
 def test_differential_symmetric_graphs():
-    # graphs whose pair orbits are large, so the label rule bans the most
+    # graphs whose pair orbits are large, so the type rule on pairs bars the most
     for spec in [f"C{n}" for n in range(4, 10)] + ["K3,3", "K2,4"]:
         for k in (3, 4):
             assert (is_k_representable(G(spec), k)[0] == "yes") == _unreduced_search(G(spec), k), (spec, k)
@@ -293,15 +293,37 @@ def test_differential_symmetric_graphs():
 
 def _rule_corpus():
     """Every graph of order <= 5 at widths 1..5, C7..C15 at widths 4 and 5,
-    K3,3 at width 4 and three larger "yes" searches."""
+    K3,3 at width 4, ELq? at width 4 and three larger "yes" searches.  On
+    ELq?, removing the banned pair types from the candidate sets of other
+    vertices (not only skipping them) would steer fail-first branching to
+    another witness."""
     cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
-    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4)]
+    cases += [(G(f"C{n}"), k) for n in range(7, 16) for k in (4, 5)] + [(G("K3,3"), 4), (G("g6:ELq?"), 4)]
     return cases + [(G("C16"), 5), (G("C21"), 6), (G("P15"), 5)]
 
 
+@pytest.mark.slow
+def test_symmetry_rules_keep_every_verdict_and_witness(monkeypatch):
+    # the orbit and type rules only skip candidates of the vertex branched
+    # on: against the same search with both off (G_2 trivial, O2 and O3 cut
+    # down to the base tuple), every verdict and witness is identical
+    cases = [(g, k) for g in nonisomorphic_graphs(6) for k in range(1, 6)] + _rule_corpus()
+    reduced = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "_representative_stabiliser",
+                        lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
+    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+    for (g, k), (verdict, witness, stats) in zip(cases, reduced):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes, (g, k)
+        assert plain_stats.skips == 0, (g, k)
+
+
 def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
-    # against the same search with E0 cut down to {v1, v2}, where the rule
-    # bans nothing, the verdict and the witness are identical
+    # the type rule on pairs: against the same search with O2 cut down to
+    # {v1, v2}, where it bars nothing, the verdict and the witness are
+    # identical
     cases = _rule_corpus()
     banned = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
@@ -324,9 +346,9 @@ def test_label_rule_is_lazy(monkeypatch):
 
 
 def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
-    # against the same search with O3 cut down to (v1, v2, v3), where the
-    # rule bans nothing the orbit rule does not, the verdict and the witness
-    # are identical
+    # the type rule on triples: against the same search with O3 cut down to
+    # (v1, v2, v3), where it bars only the G_2-orbits of the refuted
+    # candidates of v3 itself, the verdict and the witness are identical
     cases = _rule_corpus()
     barred = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
@@ -338,8 +360,8 @@ def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
             assert stats.nodes < plain_stats.nodes
 
 
-# Every order <= 6 case, at widths 3..5, in which the triple rule skips a
-# candidate that the other reductions would have tried.
+# Every order <= 6 case, at widths 3..5, in which the type rule on triples
+# skips a candidate that the other reductions would have tried.
 TRIPLE_RULE_CASES = [("D}o", 4), ("D~w", 5)]
 TRIPLE_RULE_CASES_ORDER_SIX = [
     ("E_??", 4), ("EK??", 4), ("E}a?", 4), ("E}o?", 4), ("E}q?", 4), ("Elr?", 4),
@@ -389,7 +411,7 @@ def test_triple_rule_is_lazy(monkeypatch):
 
 
 def test_skip_counter_repeats():
-    # the orbit and triple rules' skips are deterministic, and C15 at width 5 has some
+    # the orbit and type rules' skips are deterministic, and C15 at width 5 has some
     first, second = (is_k_representable(G("C15"), 5)[2] for _ in range(2))
     assert (first.nodes, first.skips) == (second.nodes, second.skips)
     assert first.skips > 0
@@ -565,15 +587,15 @@ def test_zero_time_limit_searches_nothing():
 
 
 def test_budget_is_shared_across_calls():
-    # K3,3 spends 6 nodes refuting width 4 and 5 deciding width 5
-    budget = Budget(node_limit=10)
+    # K3,3 spends 7 nodes refuting width 4 and 5 deciding width 5
+    budget = Budget(node_limit=11)
     assert is_k_representable(G("K3,3"), 4, budget)[0] == "no"
     verdict, _, stats = is_k_representable(G("K3,3"), 5, budget)
-    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 10
+    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 11
     with pytest.raises(BudgetExhaustedError, match="at width 5 after 4 nodes"):
-        solve_drn(G("K3,3"), Budget(node_limit=10))
-    res = solve_drn(G("K3,3"), Budget(node_limit=11))
-    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 6, 5: 5}
+        solve_drn(G("K3,3"), Budget(node_limit=11))
+    res = solve_drn(G("K3,3"), Budget(node_limit=12))
+    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 7, 5: 5}
 
 
 def test_search_after_the_deadline_spends_nothing():
