@@ -30,7 +30,6 @@ from drn.graphs import (
     read_graph6_lines,
 )
 from drn.matrices import (
-    DuplicateRowsError,
     MatrixParseError,
     read_matrix,
     verify,
@@ -98,7 +97,7 @@ def _group_runs(rows):
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     text = Path(args.matrix).read_text()
-    m = read_matrix(text, allow_duplicate_rows=True)
+    m = read_matrix(text)
     try:
         report = verify(g, m)
     except ValueError as e:
@@ -245,26 +244,24 @@ def cmd_survey(args) -> int:
             raise InputError(f"--order supports 1..{MAX_ENUM_ORDER}")
         graphs = nonisomorphic_graphs(args.order)
         k = args.k if args.k is not None else args.order
-        order = args.order
     else:
         graphs = read_graph6_lines(Path(args.corpus).read_text())
         if args.k is None:
             raise InputError("--k is required with a corpus file")
         k = args.k
-        order = None
-    res = survey(graphs, k, Budget(args.node_limit, args.time_limit_ms), order=order)
+    res = survey(graphs, k, Budget(args.node_limit, args.time_limit_ms))
     if args.format == "json":
         _emit(json.dumps({
-            "order": res.order, "width": k, "total": res.total,
+            "order": args.order, "width": k, "total": res.total,
             "not_representable": res.not_representable_count,
             "refuted": list(res.refuted_graph6),
         }, indent=2), args.out)
     elif args.format == "csv":
         _emit("order,width,total,not_representable\n"
-              f"{res.order if res.order is not None else ''},{k},{res.total},{res.not_representable_count}\n",
+              f"{args.order if args.order is not None else ''},{k},{res.total},{res.not_representable_count}\n",
               args.out)
     else:
-        where = f"order {res.order}" if res.order is not None else f"{args.corpus}"
+        where = f"order {args.order}" if args.order is not None else f"{args.corpus}"
         lines = [f"{where}, width {k}: {res.not_representable_count} of {res.total} not representable"]
         lines.extend(f"  {g6}" for g6 in res.refuted_graph6)
         _emit("\n".join(lines), args.out)
@@ -351,9 +348,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except DuplicateRowsError as e:
-        print(e)
-        return EXIT_INVALID
     except (InputError, MatrixParseError, Graph6Error, WidthCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

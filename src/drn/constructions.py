@@ -311,12 +311,7 @@ def build_complete_minus_cycle(n: int, k: int) -> ConstructionResult:
         t = k // 2
         a = circulant(t)
         b = shift_symbols(circulant(n - t), t)
-        used = [set() for _ in range(n)]
-        for i in range(1, t + 1):
-            row = a.row(i) + b.row(i)
-            for j, s in enumerate(row):
-                used[j].add(s)
-        ext = _extend_rows(n, range(1, n + 1), used, n - 2 * t)
+        ext = _extend_rows([a.row(i) + b.row(i) for i in range(1, t + 1)], n - 2 * t)
         rows: list[tuple[int, ...]] = [a.row(1) + b.row(t)]
         for i in range(1, t + 1):
             rows.append(a.row(i) + b.row(i))
@@ -332,19 +327,10 @@ def build_complete_minus_cycle(n: int, k: int) -> ConstructionResult:
     a1_mod = (2, t + 1) + tuple(range(3, t + 1))
     b1_mod = (1,) + tuple(range(t + 2, n + 1))
 
-    used = [set() for _ in range(n)]
-    for i in range(t):
-        a_part = a1_mod if i == 0 else a_rows[i]
-        b_part = b1_mod if i == 0 else b.row(i + 1)
-        for j, s in enumerate(a_part + b_part):
-            used[j].add(s)
-    # the changed cells must avoid their original symbols too, so the
-    # extension rows disagree with both the modified first row and the
-    # original first block row used by the second cycle vertex
-    used[0].add(1)
-    used[1].add(2)
-    used[t].add(t + 1)
-    ext = _extend_rows(n, range(1, n + 1), used, n - 2 * t + 1)
+    # the extension rows also avoid the first row before its change,
+    # (1, ..., n): the second cycle vertex uses its left block a_rows[0]
+    block = [a1_mod + b1_mod, a_rows[0] + b.row(1)] + [a_rows[i] + b.row(i + 1) for i in range(1, t)]
+    ext = _extend_rows(block, n - 2 * t + 1)
 
     rows = [a1_mod + b1_mod]
     for i in range(1, t):

@@ -1,9 +1,11 @@
 """Latin squares and rectangles, plus the operators the representation
 constructions are assembled from: circulant and idempotent squares,
-completion of rectangles via bipartite matching (Hall's condition always
-holds), prescribed-row squares, symbol translation, and the row-duplication
-operator that turns a latin square into an array where exactly one chosen set
-of rows agrees everywhere.
+completion of rectangles one row at a time, each row a system of distinct
+representatives of the columns' free symbols (Hall's condition always
+holds; the matching is ``graphs.distinct_representatives``), prescribed-row
+squares, symbol translation, and the row-duplication operator that turns a
+latin square into an array where exactly one chosen set of rows agrees
+everywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from drn.graphs import distinct_representatives
 from drn.perms import is_perm
 
 
@@ -47,10 +50,6 @@ class LatinRectangle:
     @property
     def n(self) -> int:
         return len(self.cells[0])
-
-    @property
-    def symbols(self) -> frozenset[int]:
-        return frozenset(self.cells[0])
 
     @property
     def is_square(self) -> bool:
@@ -128,40 +127,26 @@ def shift_symbols(rect: LatinRectangle, offset: int) -> LatinRectangle:
     return LatinSquare(cells) if rect.is_square else LatinRectangle(cells)
 
 
-def _extend_rows(n: int, symbols: Sequence[int], used_per_column: list[set[int]], rows_needed: int) -> list[tuple[int, ...]]:
-    """Add ``rows_needed`` rows, each a permutation of ``symbols`` avoiding the
-    used symbols per column, via augmenting-path bipartite matching.
+def _extend_rows(rows: Sequence[Sequence[int]], count: int) -> list[tuple[int, ...]]:
+    """``count`` rows, each a permutation of the symbols of ``rows[0]`` that
+    differs in every column from ``rows`` and from the rows before it.
 
-    Columns are scanned in ascending order and symbols in ascending order, so
-    the result is deterministic.  Used internally by hall_extend and by the
-    constructions that extend improper rectangles (duplicated column symbols
-    only shrink the availability sets, Hall's condition still holds there).
+    Each new row is a system of distinct representatives of the columns'
+    free symbols (``graphs.distinct_representatives``), so the result is
+    deterministic.  Used by hall_extend and by the constructions that extend
+    improper rectangles (duplicated column symbols only shrink the free sets,
+    Hall's condition still holds there).
     """
-    syms = sorted(symbols)
+    low = min(rows[0])  # symbol s is bit s - low
+    full = sum(1 << (s - low) for s in rows[0])
+    free = [full & ~sum({1 << (s - low) for s in col}) for col in zip(*rows)]  # a column may repeat a symbol
     out = []
-    for _ in range(rows_needed):
-        avail = [[s for s in syms if s not in used_per_column[j]] for j in range(n)]
-        match_col: dict[int, int] = {}  # symbol -> column
-        match_sym: list[int | None] = [None] * n
-
-        def try_assign(j: int, banned: set[int]) -> bool:
-            for s in avail[j]:
-                if s in banned:
-                    continue
-                banned.add(s)
-                if s not in match_col or try_assign(match_col[s], banned):
-                    match_col[s] = j
-                    match_sym[j] = s
-                    return True
-            return False
-
-        for j in range(n):
-            if not try_assign(j, set()):
-                raise RuntimeError("internal invariant violated: no system of distinct representatives")
-        row = tuple(match_sym)  # type: ignore[arg-type]
-        out.append(row)
-        for j, s in enumerate(row):
-            used_per_column[j].add(s)
+    for _ in range(count):
+        bits = distinct_representatives(free)
+        if bits is None:
+            raise RuntimeError("internal invariant violated: no system of distinct representatives")
+        out.append(tuple(bit.bit_length() - 1 + low for bit in bits))
+        free = [f ^ bit for f, bit in zip(free, bits)]
     return out
 
 
@@ -173,9 +158,7 @@ def hall_extend(rect: LatinRectangle) -> LatinSquare:
     """
     if rect.is_square:
         raise ValueError("rectangle is already square; nothing to extend")
-    used = [set(row[j] for row in rect.cells) for j in range(rect.n)]
-    new_rows = _extend_rows(rect.n, sorted(rect.symbols), used, rect.n - rect.r)
-    return LatinSquare(rect.cells + tuple(new_rows))
+    return LatinSquare(rect.cells + tuple(_extend_rows(rect.cells, rect.n - rect.r)))
 
 
 def prescribe_rows(rows: Sequence[Sequence[int]], n: int) -> LatinSquare:

@@ -10,7 +10,7 @@ certificate localizes immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from drn.graphs import Graph, data_lines
 from drn.perms import Perm, check_perm, is_perm
@@ -22,12 +22,6 @@ DUPLICATE_ROWS = "duplicate-rows"
 
 class MatrixParseError(ValueError):
     pass
-
-
-class DuplicateRowsError(ValueError):
-    def __init__(self, i: int, j: int):
-        super().__init__(f"duplicate rows {i},{j}")
-        self.rows = (i, j)
 
 
 @dataclass(frozen=True)
@@ -53,10 +47,6 @@ class RepresentationMatrix:
     @property
     def k(self) -> int:
         return len(self.rows[0])
-
-
-def matrix(rows: Iterable[Sequence[int]]) -> RepresentationMatrix:
-    return RepresentationMatrix(tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ def write_matrix(m: RepresentationMatrix, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_matrix(text: str, allow_duplicate_rows: bool = False) -> RepresentationMatrix:
+def read_matrix(text: str) -> RepresentationMatrix:
     lines = data_lines(text)
     if not lines or lines[0].split() != ["drnmat", "1"]:
         raise MatrixParseError("missing 'drnmat 1' header")
@@ -135,10 +125,4 @@ def read_matrix(text: str, allow_duplicate_rows: bool = False) -> Representation
             rows.append(check_perm(entries))
         except ValueError as e:
             raise MatrixParseError(f"row {i} is not a permutation") from e
-    if not allow_duplicate_rows:
-        seen: dict[Perm, int] = {}
-        for i, row in enumerate(rows, start=1):
-            if row in seen:
-                raise DuplicateRowsError(seen[row], i)
-            seen[row] = i
     return RepresentationMatrix(tuple(rows))

@@ -103,12 +103,12 @@ Hall, "On representatives of subsets", J. London Math. Soc. 1935) an SDR
 fails to exist iff some j sets have fewer than j elements in their union, so
 the check (the failure test of the all-different constraint: Regin, "A
 filtering algorithm for constraints of difference in CSPs", AAAI 1994) is a
-bipartite matching, ``_distinct``, recomputed at each node.  A violator of j
-<= n sets (n unassigned vertices) holds only sets of fewer than j
-candidates, so the matching runs only when the smallest set has fewer than n
-candidates, and only on the sets that do; it is exact all the same.  A
-closed node has no completion, so the orbit and type rules, which read a
-failure as "no completion", hold with it.
+bipartite matching, ``graphs.distinct_representatives``, recomputed at each
+node.  A violator of j <= n sets (n unassigned vertices) holds only sets of
+fewer than j candidates, so the matching runs only when the smallest set has
+fewer than n candidates, and only on the sets that do; it is exact all the
+same.  A closed node has no completion, so the orbit and type rules, which
+read a failure as "no completion", hold with it.
 
 No reduction narrows another vertex's candidate set: translation and
 conjugation fix v1's image and v2's candidates, the orbit and type rules
@@ -165,7 +165,7 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit, tuple_orbit
+from drn.graphs import Graph, degree_order, distinct_representatives, graph6_encode, pair_orbit, tuple_orbit
 from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
@@ -206,7 +206,6 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SurveyResult:
-    order: int | None
     total: int
     not_representable_count: int
     refuted_graph6: tuple[str, ...]
@@ -419,43 +418,6 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     return tuple(t)
 
 
-def _distinct(sets: list[int]) -> bool:
-    """Whether the bitsets ``sets`` have a system of distinct representatives,
-    one bit from each, no bit twice.  Each set in turn takes a free bit if it
-    has one, else the matching grows along an augmenting path, found breadth
-    first (Kuhn).  When a set has none, the matching is maximum (Berge) and
-    leaves that set out, so the family has no such system."""
-    owner: dict[int, int] = {}  # each matched bit -> the index of its set
-    match = [0] * len(sets)  # each set's matched bit
-    used = 0
-    for i, s in enumerate(sets):
-        j, free = i, s & ~used
-        if not free:
-            parent: dict[int, int] = {}  # a bit reached -> the set it was reached from
-            seen, queue = 0, [i]
-            for j in queue:
-                reach = sets[j] & ~seen
-                free = reach & ~used
-                if free:
-                    break
-                seen |= reach
-                while reach:
-                    low = reach & -reach
-                    reach ^= low
-                    parent[low] = j
-                    queue.append(owner[low])
-            else:
-                return False
-        bit = free & -free
-        used |= bit
-        while j != i:  # each set on the path takes the bit after it
-            match[j], bit = bit, match[j]
-            owner[match[j]] = j
-            j = parent[bit]
-        match[i], owner[bit] = bit, i
-    return True
-
-
 def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
     """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict
     and, for "yes", the image of every vertex in vertex order; the candidates
@@ -495,7 +457,7 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         if not least:
             return None
         n = len(sizes)  # a Hall violator of j sets has only sets of fewer than j <= n
-        if least < n and not _distinct([m for m, size in zip(new, sizes) if size < n]):
+        if least < n and distinct_representatives([m for m, size in zip(new, sizes) if size < n]) is None:
             stats.hall_closed += 1
             return None
         i = sizes.index(least)
@@ -688,7 +650,7 @@ def solve_drn(g: Graph, budget: Budget | None = None, max_k: int | None = None) 
                        rep.upper, cert.theorem)
 
 
-def survey(corpus, k: int, budget: Budget | None = None, order: int | None = None) -> SurveyResult:
+def survey(corpus, k: int, budget: Budget | None = None) -> SurveyResult:
     """Count corpus graphs that are not width-k representable.
 
     Every graph draws on one budget (``None``: a fresh default ``Budget``).
@@ -707,4 +669,4 @@ def survey(corpus, k: int, budget: Budget | None = None, order: int | None = Non
                 f"({budget.nodes} in all)")
         if verdict == "no":
             refuted.append(graph6_encode(g))
-    return SurveyResult(order, len(graphs), len(refuted), tuple(refuted))
+    return SurveyResult(len(graphs), len(refuted), tuple(refuted))

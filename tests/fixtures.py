@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from drn.graphs import Graph
-from drn.matrices import RepresentationMatrix, matrix
+from drn.matrices import RepresentationMatrix
+from reference import matrix
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Nothing here is used by ``drn`` itself: each helper is the slow, obvious
 version of a fact the tests check (permutation composition and the
 adjacency test, a decision by enumeration, the position masks by a scan of
 S_k, an induced subgraph, a relabelling, the automorphisms of a graph by
-trying every relabelling, a symmetry action on a matrix, Hall's condition
-over every subfamily).
+trying every relabelling, a representation matrix from plain rows, a
+symmetry action on a matrix, Hall's condition over every subfamily).
 """
 
 from itertools import combinations, permutations
@@ -96,6 +96,11 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     trying all n! relabellings; only feasible for small n."""
     edges = {frozenset(e) for e in g.edges()}
     return [p for p in permutations(range(g.n)) if {frozenset((p[u], p[v])) for u, v in edges} == edges]
+
+
+def matrix(rows) -> RepresentationMatrix:
+    """The representation matrix with the given rows (any sequences of ints)."""
+    return RepresentationMatrix(tuple(tuple(r) for r in rows))
 
 
 def normalize(m: RepresentationMatrix) -> RepresentationMatrix:

@@ -38,11 +38,11 @@ from drn.graphs import (
     graph_from_spec_text,
     nonisomorphic_graphs,
 )
-from drn.matrices import matrix, verify
+from drn.matrices import verify
 from drn.perms import all_perms
 from drn.solver import is_k_representable, solve_drn, survey
 import fixtures
-from reference import brute_force_oracle, edge_cliques, normalize, permute_columns, relabel_symbols
+from reference import brute_force_oracle, edge_cliques, matrix, normalize, permute_columns, relabel_symbols
 
 
 def G(spec):
@@ -221,7 +221,7 @@ def test_criterion_06_survey_small_orders():
     for n in range(1, 6):
         corpus = nonisomorphic_graphs(n)
         assert len(corpus) == stated_sizes[n]
-        res = survey(corpus, n, order=n)
+        res = survey(corpus, n)
         assert res.not_representable_count == stated_counts[n], (n, res)
     elapsed = time.monotonic() - t0
     report(6, elapsed < 900, f"Cay_not(1..5) = {list(stated_counts.values())} in {elapsed:.1f}s")
@@ -385,6 +385,6 @@ def test_extended_cycles_13_16_report():
 
 @pytest.mark.slow
 def test_extended_survey_order6():
-    res = survey(nonisomorphic_graphs(6), 6, order=6)
+    res = survey(nonisomorphic_graphs(6), 6)
     print(f"\nCay_not(6) = {res.not_representable_count} of {res.total}")
     assert res.not_representable_count == 0

@@ -227,7 +227,7 @@ def test_table_bad_range_exit_2(capsys):
 def test_survey_order(capsys):
     code, out, _ = run(capsys, "survey", "--order", "3", "--format", "json")
     data = json.loads(out)
-    assert data["not_representable"] == 2 and data["total"] == 4
+    assert data["order"] == 3 and data["not_representable"] == 2 and data["total"] == 4
 
 
 def test_survey_corpus_file(tmp_path, capsys):
@@ -235,7 +235,8 @@ def test_survey_corpus_file(tmp_path, capsys):
     p = tmp_path / "corpus.g6"
     p.write_text(graph6_encode(graph_from_spec_text("E3")) + "\n")
     code, out, _ = run(capsys, "survey", str(p), "--k", "3", "--format", "json")
-    assert json.loads(out)["not_representable"] == 1
+    data = json.loads(out)
+    assert data["order"] is None and data["not_representable"] == 1
     code, out, _ = run(capsys, "survey", str(p), "--k", "4", "--format", "json")
     assert json.loads(out)["not_representable"] == 0
 

@@ -61,6 +61,8 @@ def test_hall_extend_examples():
     assert sq.is_square and sq.row(1) == (1, 2, 3)
     sq = hall_extend(rectangle([[1, 2, 3, 4], [2, 1, 4, 3]]))
     assert sq.is_square and sq.row(1) == (1, 2, 3, 4) and sq.row(2) == (2, 1, 4, 3)
+    # any integer symbols
+    assert hall_extend(rectangle([[0, -1, 5]])).cells == ((0, -1, 5), (5, 0, -1), (-1, 5, 0))
     with pytest.raises(ValueError):
         hall_extend(circulant(3))  # already square
     # one missing row has a unique completion

