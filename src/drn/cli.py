@@ -38,6 +38,7 @@ from drn.matrices import (
 from drn.solver import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT_MS,
+    ORDER_CAP,
     Budget,
     BudgetExhaustedError,
     WidthCapError,
@@ -191,6 +192,9 @@ def cmd_table(args) -> int:
         smax = int(args.range)
         if smax < 1:
             raise InputError(f"bipartite table needs a max s >= 1, got {args.range}")
+        if 2 * smax > ORDER_CAP:
+            raise InputError(f"bipartite table needs a max s <= {ORDER_CAP // 2}, got {args.range}: "
+                             f"K{smax},{smax} has {2 * smax} vertices, over the solver's order cap of {ORDER_CAP}")
         entries = []
         for s in range(1, smax + 1):
             for r in range(1, s + 1):
@@ -219,6 +223,8 @@ def cmd_table(args) -> int:
         raise InputError(f"{args.which} start at {floor}")
     if hi < lo:
         raise InputError(f"empty range {args.range}: it ends before it starts")
+    if hi > ORDER_CAP:
+        raise InputError(f"{args.which} end at the solver's order cap of {ORDER_CAP}, got {args.range}")
     entries = [(n, solve_drn(graph_from_spec_text(f"{fam}{n}"), budget).drn)
                for n in range(lo, hi + 1)]
     if args.format == "json":

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Graph6Error(ValueError):
@@ -64,14 +64,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return bin(self.adj[u]).count("1")
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            while row:
-                low = row & -row
-                yield (u, low.bit_length() - 1)
-                row ^= low
 
     @property
     def q(self) -> int:

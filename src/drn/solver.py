@@ -100,43 +100,59 @@ candidate sets of the unassigned vertices, one image from each set, that
 also meets their mutual adjacencies; when the sets have no SDR there is no
 completion, and the node is closed like a wipe-out.  By Hall's theorem (P.
 Hall, "On representatives of subsets", J. London Math. Soc. 1935) an SDR
-fails to exist iff some j sets have fewer than j elements in their union, so
-the check (the failure test of the all-different constraint: Regin, "A
-filtering algorithm for constraints of difference in CSPs", AAAI 1994) is a
-bipartite matching, ``graphs.distinct_representatives``, recomputed at each
-node.  A violator of j <= n sets (n unassigned vertices) holds only sets of
-fewer than j candidates, so the matching runs only when the smallest set has
-fewer than n candidates, and only on the sets that do; it is exact all the
-same.  A closed node has no completion, so the orbit and type rules, which
-read a failure as "no completion", hold with it.
+fails to exist iff some j sets have fewer than j elements in their union;
+this is the failure test of the all-different constraint (Regin, "A
+filtering algorithm for constraints of difference in CSPs", AAAI 1994),
+recomputed at each node.  The unassigned vertices come in classes that
+share one candidate set (below), so the check (``_distinct_images``) first
+reads Hall's condition on each class alone: a class of j members whose set
+has fewer than j candidates is a violator, and closes the node.  Otherwise
+it runs the bipartite matching ``graphs.distinct_representatives``.  A
+violator of j <= n sets (n unassigned vertices) holds only sets of fewer
+than j candidates, so the check runs only when the smallest set has fewer
+than n candidates, and the matching only on the sets that do, each class's
+set once per member; it is exact all the same.  A closed node has no
+completion, so the orbit and type rules, which read a failure as "no
+completion", hold with it.
 
 No reduction narrows another vertex's candidate set: translation and
 conjugation fix v1's image and v2's candidates, the orbit and type rules
 only skip candidates of the vertex being branched on, and the
-distinct-images check only closes nodes.  Each skipped candidate and each closed node has no completion: by
-the claims above every representation obeys the type bans, so the orbit
-rule's failures, read under the bans, are failures outright.  Candidate sets
-depend only on the images assigned, so at every node that both visit, the
-search with the orbit rule, the type rule and the check off branches on the
-same vertex and tries the same candidates in the same order; it spends
-nodes below the dropped candidates and the closed nodes, finds nothing
-there, and goes on where this search does.  Hence every node visited is one
-it visits, the fail-first order is its order, and every verdict and every
-witness is its verdict and witness; only node counts fall.  Refutations are
-exhaustive under exactly these four reductions and the distinct-images
-check.
+distinct-images check only closes nodes.  So the candidate set of an
+unassigned vertex w is the intersection, over the assigned vertices x, of
+the Cayley row of x's image when w is adjacent to x and of the other
+non-neighbours of that image when not: it depends only on the images
+assigned and on which assigned vertices are w's neighbours.  Vertices with
+the same neighbours among the assigned ones therefore share one set, and
+the search keeps them as one class with one set; an assignment u = r splits
+each class by adjacency to u and narrows each part with one AND.  (Two
+classes may hold equal sets by chance; they stay apart, which neither the
+check nor fail-first needs.)  Each skipped candidate and each closed node
+has no completion: by the claims above every representation obeys the type
+bans, so the orbit rule's failures, read under the bans, are failures
+outright.  Candidate sets depend only on the images assigned, so at every
+node that both visit, the search with the orbit rule, the type rule and the
+check off branches on the same vertex and tries the same candidates in the
+same order; it spends nodes below the dropped candidates and the closed
+nodes, finds nothing there, and goes on where this search does.  Hence
+every node visited is one it visits, the fail-first order is its order, and
+every verdict and every witness is its verdict and witness; only node
+counts fall.  Refutations are exhaustive under exactly these four
+reductions and the distinct-images check.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
-1980).  Each assignment narrows the candidate sets of the unassigned
-vertices, kept in ``graphs.degree_order``, in one pass; an emptied set ends
-the branch, else the search branches next on the vertex with the fewest
-candidates, the earliest in degree order on a tie (so v1 comes first in
-degree order, and v2 is its first neighbour if it has one).  Children get
-fresh lists, so backtracking restores nothing.  No reduction depends on this
-order: translation and conjugation hold for whichever vertices come first,
-and the orbit rule is about completions of the images assigned so far, not
-about the order in which the search meets the remaining vertices; the type
-rule is about every representation of g.
+1980).  The search relabels the vertices by ``graphs.degree_order`` once,
+so the earliest member of a class in degree order is its lowest bit.  Each
+assignment narrows the classes in one pass; an emptied set ends the branch,
+else the search branches next on the earliest member of a class with the
+fewest candidates, the class with the earliest member on a tie: the vertex
+with the fewest candidates, the earliest in degree order on a tie (so v1
+comes first in degree order, and v2 is its first neighbour if it has one).
+Children get fresh lists, so backtracking restores nothing.  No reduction
+depends on this order: translation and conjugation hold for whichever
+vertices come first, and the orbit rule is about completions of the images
+assigned so far, not about the order in which the search meets the
+remaining vertices; the type rule is about every representation of g.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -170,6 +186,7 @@ from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
 WIDTH_CAP = 8
+ORDER_CAP = 32  # the largest graph solve_drn takes
 # At most 7! cached agreement rows: every rank for k <= 7, about 25 MB at k = 8.
 AGREE_MEMO_CAP = 5040
 DEFAULT_NODE_LIMIT = 10**9
@@ -418,22 +435,45 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     return tuple(t)
 
 
+def _distinct_images(classes: list[tuple[int, int]], n: int) -> bool:
+    """The distinct-images check: whether the n unassigned vertices, grouped
+    in ``classes`` of (members, candidate set), can all get different images.
+    A class with more members than candidates violates Hall's condition on
+    its own; otherwise the matching runs on the sets of fewer than n
+    candidates, each repeated once per member (module docstring)."""
+    sets: list[int] = []
+    for members, cand in classes:
+        count, size = members.bit_count(), cand.bit_count()
+        if count > size:
+            return False
+        if size < n:
+            sets += [cand] * count
+    return distinct_representatives(sets) is not None
+
+
 def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
     """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict
     and, for "yes", the image of every vertex in vertex order; the candidates
     skipped and the nodes closed by the distinct-images check are counted in
-    ``stats``."""
+    ``stats``.  The search runs on positions in ``graphs.degree_order``:
+    vertex sets are bitsets of positions, so the earliest vertex of a set in
+    degree order is its lowest bit."""
     full = (1 << factorial(k)) - 1
-    images = [0] * g.n  # the rank of each assigned vertex's image
     order = degree_order(g)
+    pos = [0] * g.n  # the position of each vertex in degree order
+    for i, v in enumerate(order):
+        pos[v] = i
+    # the adjacency of each position, as a bitset of positions
+    adjacent = [sum(1 << pos[w] for w in range(g.n) if g.adj[v] >> w & 1) for v in order]
+    images = [0] * g.n  # the rank of each assigned position's image
     # The type rule's state: B2, the refuted classes of the second vertex (by
     # their representatives); B3, the refuted normal forms of the current
     # third-vertex frame, with the second vertex's image rho there and the
     # normaliser of each pair of image ranks; and the links: for each vertex
-    # z, each tuple xs with xs + (z,) in O2 or O3, with the bitset of xs.  O2
-    # joins the links when the first class is refuted; O3, of the third
-    # vertex ``linked``, when a refutation there first leaves candidates,
-    # replacing the triples of an earlier third vertex.
+    # z, each tuple xs with xs + (z,) in O2 or O3, with the bitset of xs (all
+    # as positions).  O2 joins the links when the first class is refuted; O3,
+    # of the third vertex ``linked``, when a refutation there first leaves
+    # candidates, replacing the triples of an earlier third vertex.
     banned: tuple[Perm, ...] = ()
     refuted: set[Perm] = set()
     rho: Perm = ()
@@ -441,27 +481,41 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(g.n)]
     linked = -1
 
-    def branch(rest: list[int], masks: list[int], u: int, r: int):
-        """Propagate u = r to the unassigned vertices ``rest`` (in degree
-        order) with candidate sets ``masks``.  Returns None on a wipe-out or
-        when the new sets have no distinct representatives, else the vertex
-        with the fewest candidates (the earliest on a tie), its candidates,
-        and the other vertices and their candidates."""
+    def branch(classes: list[tuple[int, int]], u: int, r: int, n: int):
+        """Propagate u = r to the n unassigned vertices, grouped in
+        ``classes`` of (members, candidate set): each class splits by
+        adjacency to u.  Returns None on a wipe-out or when the new classes
+        fail the distinct-images check, else the vertex with the fewest
+        candidates (the earliest on a tie), its candidates, and the other
+        classes."""
         non = _agreement(k, r)
         row = full ^ non
         non ^= 1 << r
-        adj = g.adj[u]
-        new = [m & (row if adj >> w & 1 else non) for w, m in zip(rest, masks)]
-        sizes = list(map(int.bit_count, new))
-        least = min(sizes)
-        if not least:
-            return None
-        n = len(sizes)  # a Hall violator of j sets has only sets of fewer than j <= n
-        if least < n and distinct_representatives([m for m, size in zip(new, sizes) if size < n]) is None:
+        adj = adjacent[u]
+        new = []
+        for members, cand in classes:
+            near = members & adj
+            if near:
+                cand_near = cand & row
+                if not cand_near:
+                    return None
+                new.append((near, cand_near))
+            if near != members:
+                cand &= non
+                if not cand:
+                    return None
+                new.append((members ^ near, cand))
+        # fail-first: the fewest candidates, then the earliest member (a bit below 1 << g.n)
+        keys = [cand.bit_count() << g.n | members & -members for members, cand in new]
+        least = min(keys)
+        if least >> g.n < n and not _distinct_images(new, n):
             stats.hall_closed += 1
             return None
-        i = sizes.index(least)
-        return rest[i], new[i], rest[:i] + rest[i + 1:], new[:i] + new[i + 1:]
+        members, cand = new.pop(keys.index(least))
+        low = members & -members
+        if members != low:
+            new.append((members ^ low, cand))
+        return low.bit_length() - 1, cand, new
 
     def normaliser(rx: int, ry: int):
         """For the images p and p' of ranks rx and ry: None when
@@ -503,15 +557,17 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         stats.skips += (bits ^ allowed).bit_count()
         return allowed
 
-    def dfs(u: int, bits: int, rest: list[int], masks: list[int], done: int,
+    def dfs(u: int, bits: int, classes: list[tuple[int, int]], done: int,
             group, fixed: tuple[int, ...]) -> str:
-        """Try every candidate rank in bits for u; ``done`` is the bitset of
-        the assigned vertices.  The stabiliser G of the images assigned so far
-        is the set of elements of ``group`` that fix the ranks ``fixed``
-        (``_stabiliser``); it is built only when a failure leaves candidates."""
+        """Try every candidate rank in bits for u; ``classes`` group the other
+        unassigned vertices and ``done`` is the bitset of the assigned ones.
+        The stabiliser G of the images assigned so far is the set of elements
+        of ``group`` that fix the ranks ``fixed`` (``_stabiliser``); it is
+        built only when a failure leaves candidates."""
         nonlocal banned, refuted, rho, normalisers, linked
         if done == third:  # a new third-vertex frame: B3 starts empty
             refuted, rho, normalisers = set(), _perm(k, images[v2]), {}
+        n = g.n - 1 - done.bit_count()  # the vertices left once u is assigned
         if links[u]:
             bits = type_rule(u, bits, done)
         while bits:
@@ -521,9 +577,9 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
             if not budget.spend():
                 return "unknown"
             images[u] = r
-            if not rest:
+            if not classes:
                 return "yes"
-            child = branch(rest, masks, u, r)
+            child = branch(classes, u, r, n)
             if child is not None:
                 sub = dfs(*child, done | 1 << u, group, fixed + (r,))
                 if sub != "no":
@@ -532,7 +588,8 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                 break
             if done == second:  # the type rule: B2 gains r's class
                 if not banned:
-                    for x, y in pair_orbit(g, order[0], u):
+                    for x, y in pair_orbit(g, order[0], order[u]):
+                        x, y = pos[x], pos[y]
                         links[x].append(((y,), 1 << y))
                         links[y].append(((x,), 1 << x))
                 banned += (unrank_perm(r, k),)
@@ -543,7 +600,8 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                 if linked != u:
                     for z in range(g.n):
                         links[z] = [link for link in links[z] if len(link[0]) == 1]
-                    for x, y, z in tuple_orbit(g, (order[0], v2, u)):
+                    for x, y, z in tuple_orbit(g, (order[0], order[v2], order[u])):
+                        x, y, z = pos[x], pos[y], pos[z]
                         links[z].append(((x, y), 1 << x | 1 << y))
                     linked = u
                 refuted.update(_images(group, _perm(k, r)))
@@ -554,20 +612,20 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                 bits ^= drop
         return "no"
 
-    images[order[0]] = 0  # the identity
-    first = branch(order[1:], [full] * (g.n - 1), order[0], 0)
+    images[0] = 0  # the identity, on the first vertex in degree order
+    first = branch([((1 << g.n) - 2, full)], 0, 0, g.n - 1)
     if first is None:
         return "no", None
     # Every class representative; the second vertex's candidates, once the
     # identity is pinned, already hold only the admissible ones (derangements
     # when it is adjacent to v1, else the rest minus the identity).
     rep_mask = sum(1 << rank_perm(p) for p in _class_representatives(k))
-    v2, bits2, rest, masks = first
-    second, third = 1 << order[0], 1 << order[0] | 1 << v2  # ``done`` at v2 and v3
-    verdict = dfs(v2, bits2 & rep_mask, rest, masks, second, None, ())
+    v2, bits2, classes = first
+    second, third = 1, 1 | 1 << v2  # ``done`` at v2 and v3
+    verdict = dfs(v2, bits2 & rep_mask, classes, second, None, ())
     if verdict != "yes":
         return verdict, None
-    return verdict, tuple(unrank_perm(r, k) for r in images)
+    return verdict, tuple(unrank_perm(images[i], k) for i in pos)
 
 
 def is_k_representable(
@@ -621,8 +679,8 @@ def solve_drn(g: Graph, budget: Budget | None = None, max_k: int | None = None) 
     """
     from drn.constructions import best_certificate, bounds
 
-    if g.n > 32:
-        raise ValueError("order cap for the solver is 32")
+    if g.n > ORDER_CAP:
+        raise ValueError(f"order cap for the solver is {ORDER_CAP}")
     if budget is None:
         budget = Budget()
     rep = bounds(g)

@@ -71,9 +71,14 @@ def position_masks(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int.from_bytes(b, "little") for b in row) for row in bufs)
 
 
+def edges(g: Graph):
+    """The edges (u, v) of g with u < v, by u and then v."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
 def edge_cliques(g: Graph) -> CliqueDecomposition:
     """Every edge as its own K_2."""
-    return CliqueDecomposition(tuple(sorted(g.edges())))
+    return CliqueDecomposition(tuple(edges(g)))
 
 
 def induced(g: Graph, vs) -> Graph:
@@ -88,14 +93,14 @@ def induced(g: Graph, vs) -> Graph:
 
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex bijection old -> perm[old] (0-based)."""
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every vertex bijection p (old -> p[old]) that maps g onto itself, by
     trying all n! relabellings; only feasible for small n."""
-    edges = {frozenset(e) for e in g.edges()}
-    return [p for p in permutations(range(g.n)) if {frozenset((p[u], p[v])) for u, v in edges} == edges]
+    pairs = {frozenset(e) for e in edges(g)}
+    return [p for p in permutations(range(g.n)) if {frozenset((p[u], p[v])) for u, v in pairs} == pairs]
 
 
 def matrix(rows) -> RepresentationMatrix:

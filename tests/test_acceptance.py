@@ -42,7 +42,7 @@ from drn.matrices import verify
 from drn.perms import all_perms
 from drn.solver import is_k_representable, solve_drn, survey
 import fixtures
-from reference import brute_force_oracle, edge_cliques, matrix, normalize, permute_columns, relabel_symbols
+from reference import brute_force_oracle, edge_cliques, edges, matrix, normalize, permute_columns, relabel_symbols
 
 
 def G(spec):
@@ -175,7 +175,7 @@ def _networkx_mismatches(graphs, widths):
         for g in graphs:
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges())
+            h.add_edges_from(edges(g))
             if GraphMatcher(gamma, h).subgraph_is_isomorphic() != (is_k_representable(g, k)[0] == "yes"):
                 mismatches.append((graph6_encode(g), k))
     return mismatches

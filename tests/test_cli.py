@@ -224,6 +224,15 @@ def test_table_bad_range_exit_2(capsys):
         assert code == 2 and message in err and out == "", argv
 
 
+def test_table_range_over_the_order_cap_exit_2(capsys):
+    # the solver takes graphs of at most 32 vertices; K16,16 has 32
+    for argv in (("table", "cycles", "31..33", "--node-limit", "50"),
+                 ("table", "paths", "30..40", "--node-limit", "50"),
+                 ("table", "bipartite", "17", "--node-limit", "100000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "order cap of 32" in err and out == "", argv
+
+
 def test_survey_order(capsys):
     code, out, _ = run(capsys, "survey", "--order", "3", "--format", "json")
     data = json.loads(out)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from drn import solver
-from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
+from drn.graphs import Graph, distinct_representatives, graph_from_spec_text, nonisomorphic_graphs
 from drn.matrices import verify
 from drn.perms import (
     all_perms,
@@ -420,7 +420,7 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
     # witness are identical
     cases = _rule_corpus()
     checked = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "distinct_representatives", lambda sets: True)
+    monkeypatch.setattr(solver, "_distinct_images", lambda classes, n: True)
     for (g, k), (verdict, witness, stats) in zip(cases, checked):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -432,13 +432,29 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
 
 def test_distinct_check_is_lazy(monkeypatch):
     # no candidate set of these searches is smaller than the number of
-    # unassigned vertices, so none reaches the matching
-    def refuse(sets):
-        raise AssertionError("distinct_representatives called")
+    # unassigned vertices, so none reaches the check
+    def refuse(classes, n):
+        raise AssertionError("_distinct_images called")
 
-    monkeypatch.setattr(solver, "distinct_representatives", refuse)
+    monkeypatch.setattr(solver, "_distinct_images", refuse)
     for spec, k in WIDE_CALLS:
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
+
+
+def test_class_test_closes_every_hall_violation_of_c15(monkeypatch):
+    # every Hall violator of C15 at width 5 is one class with more members
+    # than candidates, so the matching never fails; it runs only at the
+    # other nodes that reach the check
+    results = []
+
+    def matcher(sets):
+        results.append(distinct_representatives(sets))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "distinct_representatives", matcher)
+    stats = is_k_representable(G("C15"), 5)[2]
+    assert stats.hall_closed == 2371
+    assert len(results) == 1941 and None not in results
 
 
 def test_hall_counter_repeats():

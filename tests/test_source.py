@@ -1,5 +1,6 @@
 """Checks on the package's source: no top-level function or class of
-``src/drn`` is dead there, so no library code is used only by the tests."""
+``src/drn``, and no public method of its classes, is dead there, so no
+library code is used only by the tests."""
 
 import ast
 from pathlib import Path
@@ -8,12 +9,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "drn"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def parse(src: Path) -> dict[str, ast.Module]:
+    """The syntax tree of each module in ``src``, by module name."""
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+
+
 def unreferenced(src: Path) -> set[tuple[str, str]]:
     """The (module, name) of each top-level function and class of the
     modules in ``src`` that no code there references outside its own
     definition.  A reference is a bare name in its own module, a name
     imported from its module, or ``module.name``."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    trees = parse(src)
     defined, used = set(), set()
     for mod, tree in trees.items():
         for stmt in tree.body:
@@ -33,5 +39,24 @@ def unreferenced(src: Path) -> set[tuple[str, str]]:
     return defined - used
 
 
+def unused_methods(src: Path) -> set[tuple[str, str, str]]:
+    """The (module, class, method) of each public method (no leading
+    underscore) of the top-level classes of ``src`` whose name appears
+    nowhere there as an attribute (``x.name``)."""
+    trees = parse(src)
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    return {(mod, cls.name, fn.name)
+            for mod, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and fn.name not in attributes}
+
+
 def test_every_definition_is_used_by_the_package():
     assert unreferenced(SRC) == set()
+
+
+def test_every_public_method_is_used_by_the_package():
+    assert unused_methods(SRC) == set()
