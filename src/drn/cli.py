@@ -169,8 +169,8 @@ def cmd_solve(args) -> int:
         if res.ks_refuted:
             lines.append(f"  refuted widths: {', '.join(map(str, res.ks_refuted))}")
         for k, s in sorted(res.stats.items()):
-            lines.append(f"  width {k}: {s.verdict} after {s.nodes} nodes, {s.skips} skipped "
-                         f"({s.millis:.1f} ms)")
+            lines.append(f"  width {k}: {s.verdict} after {s.nodes} nodes, {s.skips} skipped, "
+                         f"{s.hall_closed} closed ({s.millis:.1f} ms)")
         lines.append(f"  witness ({res.witness_source}):")
         lines.extend("    " + " ".join(map(str, row)) for row in res.witness.rows)
         _emit("\n".join(lines), args.out)

@@ -1,8 +1,8 @@
 """Simple-graph data model, graph6 I/O, the graph-family grammar, small
-exact invariants (clique and independence number), the orbit of a vertex
-tuple under the automorphisms of a graph, and the bipartite matching that
-finds a system of distinct representatives of a family of bitsets (the
-solver's distinct-images check and the completion of latin rectangles).
+exact invariants (clique and independence number), clique decompositions
+and the orbit of a vertex tuple under the automorphisms of a graph.  (The
+bipartite matcher, a system of distinct representatives of a family of
+bitsets, lives in ``latin``: completing latin rectangles is its only use.)
 
 Vertices are externally 1-based (v_1..v_n, matching the usual labeling of the
 constructions); internally adjacency is stored as n bitmasks over 0-based
@@ -444,48 +444,6 @@ def pair_orbit(g: Graph, u: int, v: int) -> frozenset[tuple[int, int]]:
     g, as (smaller, larger) pairs: the unordered projection of the orbit of
     (u, v) (``tuple_orbit``)."""
     return frozenset((min(x, y), max(x, y)) for x, y in tuple_orbit(g, (u, v)))
-
-
-# Systems of distinct representatives -------------------------------------
-
-def distinct_representatives(sets: list[int]) -> list[int] | None:
-    """A system of distinct representatives of the bitsets ``sets``, one bit
-    from each, no bit twice: each set's chosen bit, or None when there is
-    none.  Each set in turn takes a free bit if it has one, else the
-    matching grows along an augmenting path, found breadth first (Kuhn).
-    When a set has none, the matching is maximum (Berge) and leaves that set
-    out, so the family has no such system (P. Hall, "On representatives of
-    subsets", J. London Math. Soc. 1935: some j sets have fewer than j bits
-    in their union)."""
-    owner: dict[int, int] = {}  # each matched bit -> the index of its set
-    match = [0] * len(sets)  # each set's matched bit
-    used = 0
-    for i, s in enumerate(sets):
-        j, free = i, s & ~used
-        if not free:
-            parent: dict[int, int] = {}  # a bit reached -> the set it was reached from
-            seen, queue = 0, [i]
-            for j in queue:
-                reach = sets[j] & ~seen
-                free = reach & ~used
-                if free:
-                    break
-                seen |= reach
-                while reach:
-                    low = reach & -reach
-                    reach ^= low
-                    parent[low] = j
-                    queue.append(owner[low])
-            else:
-                return None
-        bit = free & -free
-        used |= bit
-        while j != i:  # each set on the path takes the bit after it
-            match[j], bit = bit, match[j]
-            owner[match[j]] = j
-            j = parent[bit]
-        match[i], owner[bit] = bit, i
-    return match
 
 
 # Clique decompositions ---------------------------------------------------

@@ -2,7 +2,8 @@
 constructions are assembled from: circulant and idempotent squares,
 completion of rectangles one row at a time, each row a system of distinct
 representatives of the columns' free symbols (Hall's condition always
-holds; the matching is ``graphs.distinct_representatives``), prescribed-row
+holds; the matching is ``distinct_representatives``, the package's one
+bipartite matcher, whose only use is this completion), prescribed-row
 squares, symbol translation, and the row-duplication operator that turns a
 latin square into an array where exactly one chosen set of rows agrees
 everywhere.
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from drn.graphs import distinct_representatives
 from drn.perms import is_perm
 
 
@@ -127,12 +127,52 @@ def shift_symbols(rect: LatinRectangle, offset: int) -> LatinRectangle:
     return LatinSquare(cells) if rect.is_square else LatinRectangle(cells)
 
 
+def distinct_representatives(sets: list[int]) -> list[int] | None:
+    """A system of distinct representatives of the bitsets ``sets``, one bit
+    from each, no bit twice: each set's chosen bit, or None when there is
+    none.  Each set in turn takes a free bit if it has one, else the
+    matching grows along an augmenting path, found breadth first (Kuhn).
+    When a set has none, the matching is maximum (Berge) and leaves that set
+    out, so the family has no such system (P. Hall, "On representatives of
+    subsets", J. London Math. Soc. 1935: some j sets have fewer than j bits
+    in their union)."""
+    owner: dict[int, int] = {}  # each matched bit -> the index of its set
+    match = [0] * len(sets)  # each set's matched bit
+    used = 0
+    for i, s in enumerate(sets):
+        j, free = i, s & ~used
+        if not free:
+            parent: dict[int, int] = {}  # a bit reached -> the set it was reached from
+            seen, queue = 0, [i]
+            for j in queue:
+                reach = sets[j] & ~seen
+                free = reach & ~used
+                if free:
+                    break
+                seen |= reach
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    parent[low] = j
+                    queue.append(owner[low])
+            else:
+                return None
+        bit = free & -free
+        used |= bit
+        while j != i:  # each set on the path takes the bit after it
+            match[j], bit = bit, match[j]
+            owner[match[j]] = j
+            j = parent[bit]
+        match[i], owner[bit] = bit, i
+    return match
+
+
 def _extend_rows(rows: Sequence[Sequence[int]], count: int) -> list[tuple[int, ...]]:
     """``count`` rows, each a permutation of the symbols of ``rows[0]`` that
     differs in every column from ``rows`` and from the rows before it.
 
     Each new row is a system of distinct representatives of the columns'
-    free symbols (``graphs.distinct_representatives``), so the result is
+    free symbols (``distinct_representatives``), so the result is
     deterministic.  Used by hall_extend and by the constructions that extend
     improper rectangles (duplicated column symbols only shrink the free sets,
     Hall's condition still holds there).

@@ -100,18 +100,27 @@ candidate sets of the unassigned vertices, one image from each set, that
 also meets their mutual adjacencies; when the sets have no SDR there is no
 completion, and the node is closed like a wipe-out.  By Hall's theorem (P.
 Hall, "On representatives of subsets", J. London Math. Soc. 1935) an SDR
-fails to exist iff some j sets have fewer than j elements in their union;
-this is the failure test of the all-different constraint (Regin, "A
-filtering algorithm for constraints of difference in CSPs", AAAI 1994),
-recomputed at each node.  The unassigned vertices come in classes that
-share one candidate set (below), so the check (``_distinct_images``) first
-reads Hall's condition on each class alone: a class of j members whose set
-has fewer than j candidates is a violator, and closes the node.  Otherwise
-it runs the bipartite matching ``graphs.distinct_representatives``.  A
-violator of j <= n sets (n unassigned vertices) holds only sets of fewer
-than j candidates, so the check runs only when the smallest set has fewer
-than n candidates, and the matching only on the sets that do, each class's
-set once per member; it is exact all the same.  A closed node has no
+fails to exist iff some j sets have fewer than j elements in their union.
+The unassigned vertices come in classes that share one candidate set
+(below), and the sets of two different classes are disjoint: the classes
+differ in adjacency to some assigned vertex x (each assignment splits every
+class by adjacency to the vertex assigned), so one set lies inside the
+Cayley row of x's image and the other inside that image's other
+non-neighbours, and the row and the non-neighbours of a permutation are
+disjoint.  Take the sets of any j unassigned vertices: their union is the
+disjoint union of the sets of the classes those vertices belong to, so it
+has as many elements as those sets together, while j is at most the number
+of members of those classes.  So if every class has at least as many
+candidates as members, every j sets have at least j elements in their
+union and an SDR exists; if a class of j members has fewer than j
+candidates, its members' sets are a violator.  The check
+(``_distinct_images``) is therefore the test of each class alone, and it is
+still exact: it closes a node iff the sets have no SDR, which is the
+failure test of the all-different constraint (Regin, "A filtering
+algorithm for constraints of difference in CSPs", AAAI 1994),
+recomputed at each node.  A violating class of j <= n members (n
+unassigned vertices) has fewer than j candidates, so the check runs only
+when the smallest set has fewer than n candidates.  A closed node has no
 completion, so the orbit and type rules, which read a failure as "no
 completion", hold with it.
 
@@ -125,20 +134,19 @@ non-neighbours of that image when not: it depends only on the images
 assigned and on which assigned vertices are w's neighbours.  Vertices with
 the same neighbours among the assigned ones therefore share one set, and
 the search keeps them as one class with one set; an assignment u = r splits
-each class by adjacency to u and narrows each part with one AND.  (Two
-classes may hold equal sets by chance; they stay apart, which neither the
-check nor fail-first needs.)  Each skipped candidate and each closed node
-has no completion: by the claims above every representation obeys the type
-bans, so the orbit rule's failures, read under the bans, are failures
-outright.  Candidate sets depend only on the images assigned, so at every
-node that both visit, the search with the orbit rule, the type rule and the
-check off branches on the same vertex and tries the same candidates in the
-same order; it spends nodes below the dropped candidates and the closed
-nodes, finds nothing there, and goes on where this search does.  Hence
-every node visited is one it visits, the fail-first order is its order, and
-every verdict and every witness is its verdict and witness; only node
-counts fall.  Refutations are exhaustive under exactly these four
-reductions and the distinct-images check.
+each class by adjacency to u and narrows each part with one AND.  Each
+skipped candidate and each closed node has no completion: by the claims
+above every representation obeys the type bans, so the orbit rule's
+failures, read under the bans, are failures outright.  Candidate sets
+depend only on the images assigned, so at every node that both visit, the
+search with the orbit rule, the type rule and the check off branches on the
+same vertex and tries the same candidates in the same order; it spends
+nodes below the dropped candidates and the closed nodes, finds nothing
+there, and goes on where this search does.  Hence every node visited is one
+it visits, the fail-first order is its order, and every verdict and every
+witness is its verdict and witness; only node counts fall.  Refutations are
+exhaustive under exactly these four reductions and the distinct-images
+check.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  The search relabels the vertices by ``graphs.degree_order`` once,
@@ -181,7 +189,7 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, degree_order, distinct_representatives, graph6_encode, pair_orbit, tuple_orbit
+from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit, tuple_orbit
 from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
@@ -435,20 +443,12 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     return tuple(t)
 
 
-def _distinct_images(classes: list[tuple[int, int]], n: int) -> bool:
-    """The distinct-images check: whether the n unassigned vertices, grouped
-    in ``classes`` of (members, candidate set), can all get different images.
-    A class with more members than candidates violates Hall's condition on
-    its own; otherwise the matching runs on the sets of fewer than n
-    candidates, each repeated once per member (module docstring)."""
-    sets: list[int] = []
-    for members, cand in classes:
-        count, size = members.bit_count(), cand.bit_count()
-        if count > size:
-            return False
-        if size < n:
-            sets += [cand] * count
-    return distinct_representatives(sets) is not None
+def _distinct_images(classes: list[tuple[int, int]]) -> bool:
+    """The distinct-images check: whether the unassigned vertices, grouped in
+    ``classes`` of (members, candidate set), can all get different images.
+    The classes' sets are disjoint, so they can iff every class has at least
+    as many candidates as members (module docstring)."""
+    return all(members.bit_count() <= cand.bit_count() for members, cand in classes)
 
 
 def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
@@ -508,7 +508,7 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         # fail-first: the fewest candidates, then the earliest member (a bit below 1 << g.n)
         keys = [cand.bit_count() << g.n | members & -members for members, cand in new]
         least = min(keys)
-        if least >> g.n < n and not _distinct_images(new, n):
+        if least >> g.n < n and not _distinct_images(new):
             stats.hall_closed += 1
             return None
         members, cand = new.pop(keys.index(least))

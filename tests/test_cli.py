@@ -126,7 +126,7 @@ def test_solve_reports_skips_per_width(capsys):
     width4 = json.loads(out)["stats"]["4"]
     assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 15)
     code, out, _ = run(capsys, "solve", "C7")
-    assert "width 4: no after 9 nodes, 15 skipped (" in out
+    assert "width 4: no after 9 nodes, 15 skipped, 0 closed (" in out
 
 
 def test_solve_reports_hall_closings_per_width(capsys):
@@ -135,7 +135,7 @@ def test_solve_reports_hall_closings_per_width(capsys):
     width4 = json.loads(out)["stats"]["4"]
     assert (width4["verdict"], width4["nodes"], width4["hall_closed"]) == ("no", 8, 1)
     code, out, _ = run(capsys, "solve", "C9")
-    assert "width 4: no after 8 nodes, 13 skipped (" in out
+    assert "width 4: no after 8 nodes, 13 skipped, 1 closed (" in out
 
 
 def test_solve_budget_exit_4(capsys):

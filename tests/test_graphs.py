@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,7 +9,6 @@ from drn.graphs import (
     Graph6Error,
     build_family,
     clique_number,
-    distinct_representatives,
     graph6_decode,
     graph6_encode,
     graph_from_spec_text,
@@ -22,7 +21,7 @@ from drn.graphs import (
     tuple_orbit,
 )
 from drn import graphs
-from reference import automorphisms, edge_cliques, edges, has_distinct_representatives, induced
+from reference import automorphisms, edge_cliques, edges, induced
 
 
 def G(spec: str) -> Graph:
@@ -259,24 +258,3 @@ def test_is_automorphism():
     assert is_automorphism(g, [3, 2, 1, 0]) and is_automorphism(g, [0, 1, 2, 3])
     assert not is_automorphism(g, [1, 0, 2, 3])  # maps the edge {1, 2} to a non-edge
     assert not is_automorphism(g, [0, 0, 2, 3])  # not a bijection
-
-
-def _check_representatives(family):
-    chosen = distinct_representatives(list(family))
-    assert (chosen is not None) == has_distinct_representatives(family), family
-    if chosen is not None:  # one single bit from each set, no bit twice
-        assert len(chosen) == len(family), family
-        assert all(bit.bit_count() == 1 and bit & s for bit, s in zip(chosen, family)), family
-        assert len(set(chosen)) == len(chosen), family
-
-
-def test_distinct_matches_hall_oracle():
-    # every family of at most 3 sets over at most 3 values, then random
-    # families of up to 7 sets over 8 values
-    for size in range(4):
-        for family in product(range(8), repeat=size):
-            _check_representatives(family)
-    rng = random.Random(13)
-    for _ in range(3000):
-        width = rng.randint(1, 8)
-        _check_representatives([rng.getrandbits(width) for _ in range(rng.randint(1, 7))])

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ from drn.latin import (
     LatinRectangle,
     LatinSquare,
     circulant,
+    distinct_representatives,
     duplicate_rows,
     hall_extend,
     idempotent,
@@ -14,6 +16,7 @@ from drn.latin import (
     shift_symbols,
     square,
 )
+from reference import has_distinct_representatives
 
 
 def test_rectangle_invariants():
@@ -147,3 +150,24 @@ def test_shift_symbols():
     assert tuple(x - 7 for x in back.row(3)) == circulant(4).row(3)
     with pytest.raises(ValueError):
         shift_symbols(sq, -1)
+
+
+def _check_representatives(family):
+    chosen = distinct_representatives(list(family))
+    assert (chosen is not None) == has_distinct_representatives(family), family
+    if chosen is not None:  # one single bit from each set, no bit twice
+        assert len(chosen) == len(family), family
+        assert all(bit.bit_count() == 1 and bit & s for bit, s in zip(chosen, family)), family
+        assert len(set(chosen)) == len(chosen), family
+
+
+def test_distinct_matches_hall_oracle():
+    # every family of at most 3 sets over at most 3 values, then random
+    # families of up to 7 sets over 8 values
+    for size in range(4):
+        for family in product(range(8), repeat=size):
+            _check_representatives(family)
+    rng = random.Random(13)
+    for _ in range(3000):
+        width = rng.randint(1, 8)
+        _check_representatives([rng.getrandbits(width) for _ in range(rng.randint(1, 7))])

@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from drn import solver
-from drn.graphs import Graph, distinct_representatives, graph_from_spec_text, nonisomorphic_graphs
+from drn.graphs import Graph, graph_from_spec_text, nonisomorphic_graphs
+from drn.latin import distinct_representatives
 from drn.matrices import verify
 from drn.perms import (
     all_perms,
@@ -420,7 +421,7 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
     # witness are identical
     cases = _rule_corpus()
     checked = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "_distinct_images", lambda classes, n: True)
+    monkeypatch.setattr(solver, "_distinct_images", lambda classes: True)
     for (g, k), (verdict, witness, stats) in zip(cases, checked):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -433,7 +434,7 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
 def test_distinct_check_is_lazy(monkeypatch):
     # no candidate set of these searches is smaller than the number of
     # unassigned vertices, so none reaches the check
-    def refuse(classes, n):
+    def refuse(classes):
         raise AssertionError("_distinct_images called")
 
     monkeypatch.setattr(solver, "_distinct_images", refuse)
@@ -441,20 +442,30 @@ def test_distinct_check_is_lazy(monkeypatch):
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
 
-def test_class_test_closes_every_hall_violation_of_c15(monkeypatch):
-    # every Hall violator of C15 at width 5 is one class with more members
-    # than candidates, so the matching never fails; it runs only at the
-    # other nodes that reach the check
+def test_class_test_is_hall_on_disjoint_class_sets(monkeypatch):
+    # the candidate sets of different classes are pairwise disjoint, so the
+    # unassigned vertices have distinct images iff no class has more members
+    # than candidates: at every check, the class test agrees with the
+    # matcher on the sets repeated once per member
+    class_test = solver._distinct_images
     results = []
 
-    def matcher(sets):
-        results.append(distinct_representatives(sets))
+    def checked(classes):
+        sets = [cand for _, cand in classes]
+        assert all(not a & b for i, a in enumerate(sets) for b in sets[:i]), classes
+        family = [cand for members, cand in classes for _ in range(members.bit_count())]
+        results.append(class_test(classes))
+        assert results[-1] == (distinct_representatives(family) is not None), classes
         return results[-1]
 
-    monkeypatch.setattr(solver, "distinct_representatives", matcher)
-    stats = is_k_representable(G("C15"), 5)[2]
-    assert stats.hall_closed == 2371
-    assert len(results) == 1941 and None not in results
+    monkeypatch.setattr(solver, "_distinct_images", checked)
+    closed = 0
+    for g, k in _rule_corpus():
+        stats = is_k_representable(g, k)[2]
+        closed += stats.hall_closed
+        if (g, k) == (G("C15"), 5):
+            assert stats.hall_closed == 2371
+    assert closed == results.count(False) > 0 and True in results
 
 
 def test_hall_counter_repeats():

@@ -1,6 +1,6 @@
 """Checks on the package's source: no top-level function or class of
-``src/drn``, and no public method of its classes, is dead there, so no
-library code is used only by the tests."""
+``src/drn``, no public method of its classes and no name imported into its
+modules is dead there, so no library code is used only by the tests."""
 
 import ast
 from pathlib import Path
@@ -18,7 +18,8 @@ def unreferenced(src: Path) -> set[tuple[str, str]]:
     """The (module, name) of each top-level function and class of the
     modules in ``src`` that no code there references outside its own
     definition.  A reference is a bare name in its own module, a name
-    imported from its module, or ``module.name``."""
+    imported from its module (``unused_imports`` checks that the importer
+    uses it), or ``module.name``."""
     trees = parse(src)
     defined, used = set(), set()
     for mod, tree in trees.items():
@@ -54,9 +55,34 @@ def unused_methods(src: Path) -> set[tuple[str, str, str]]:
             and not fn.name.startswith("_") and fn.name not in attributes}
 
 
+def unused_imports(src: Path) -> set[tuple[str, str]]:
+    """The (module, name) of each name imported into a module of ``src``
+    (``from __future__`` aside) that the module neither uses as a bare name
+    (``name`` or ``name.attr``) nor lists in its ``__all__``."""
+    found = set()
+    for mod, tree in parse(src).items():
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+                used.update(ast.literal_eval(node.value))
+        found |= {(mod, name) for name in imported - used}
+    return found
+
+
 def test_every_definition_is_used_by_the_package():
     assert unreferenced(SRC) == set()
 
 
 def test_every_public_method_is_used_by_the_package():
     assert unused_methods(SRC) == set()
+
+
+def test_every_import_is_used_by_its_module():
+    assert unused_imports(SRC) == set()
