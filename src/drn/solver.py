@@ -44,7 +44,10 @@ distinct-images check (after them):
   the type rule on (v1, v2, v3) drops the same orbit.  G_2 is built from
   rho's cycles, and each G_d (from the nearest group built above it) only
   when a failure at that depth leaves candidates, so a search in which
-  nothing fails does no group work.
+  nothing fails does no group work.  Each G_d is kept as a list of indices
+  into G_2, and the search memoises, for as long as rho stays, the rank of
+  h(r) for each element h of G_2 and rank r it has met: the stabiliser
+  filter, the orbit rule's drop and B3's G_2-orbits all read that memo.
 * types on the orbits of the first pair and the first triple, a
   lex-leader-style rule over the automorphisms of g (Gent, Petrie and
   Puget, "Symmetry in constraint programming", Handbook of CP, 2006).  Let
@@ -79,18 +82,20 @@ distinct-images check (after them):
   that branch would have found it.  Hence a candidate c of the vertex z
   being branched on is skipped, without spending a node, when some tuple xs
   with xs + (z,) in O2 or O3 is assigned and xs + (c,) has a type in B2 or
-  B3 (the class test is ``_unbanned``, the normal-form test the current
-  frame's normalisers).  The skips are made when z's frame opens, and at v3
-  again whenever B3 grows; for (v1, v2, v3) itself the normal form of c is
-  c, so there the rule drops the G_2-orbit of each refuted candidate.  B2
-  lasts the whole search; B3 lives in the current third-vertex frame, as in
-  the frames of later classes of v2 its bans are vacuous: each pair of
-  images in it has rho's class, which B2 then bars on O2.  An element of
+  B3 (the class test is ``_unbanned``, kept per assigned rank until B2
+  grows; the normal-form test the normalisers, kept while rho stays).  The
+  skips are made when z's frame opens, and at v3 again whenever B3 grows;
+  for (v1, v2, v3) itself the normal form of c is c, so there the rule
+  drops the G_2-orbit of each refuted candidate.  B2 lasts the whole
+  search; B3 lives in the current third-vertex frame, as in the frames of
+  later classes of v2 its bans are vacuous: each pair of images in it has
+  rho's class, which B2 then bars on O2.  An element of
   G_d lies in A and fixes the assigned images, so it preserves types and
   the bans, and the orbit rule holds with them.  O2 is computed when the
   first class is refuted with classes left to try, and O3 when a refutation
   at v3 first leaves candidates, so a search in which nothing fails there
-  does no automorphism work.
+  does no automorphism work; O3 starts from the automorphisms found for
+  O2 and searches only for tuples they do not reach.
 
 The distinct-images check closes a node whose unassigned vertices cannot all
 get different images.  Every assigned image r lies outside every candidate
@@ -113,16 +118,17 @@ has as many elements as those sets together, while j is at most the number
 of members of those classes.  So if every class has at least as many
 candidates as members, every j sets have at least j elements in their
 union and an SDR exists; if a class of j members has fewer than j
-candidates, its members' sets are a violator.  The check
-(``_distinct_images``) is therefore the test of each class alone, and it is
-still exact: it closes a node iff the sets have no SDR, which is the
-failure test of the all-different constraint (Regin, "A filtering
-algorithm for constraints of difference in CSPs", AAAI 1994),
-recomputed at each node.  A violating class of j <= n members (n
-unassigned vertices) has fewer than j candidates, so the check runs only
-when the smallest set has fewer than n candidates.  A closed node has no
-completion, so the orbit and type rules, which read a failure as "no
-completion", hold with it.
+candidates, its members' sets are a violator.  The check is therefore the
+test of each class alone, and it is still exact: it closes a node iff the
+sets have no SDR, which is the failure test of the all-different
+constraint (Regin, "A filtering algorithm for constraints of difference in
+CSPs", AAAI 1994), recomputed at each node.  It runs in the pass that
+narrows the classes (``_propagate``, below): a violating class of j <= n
+members (n unassigned vertices) has fewer than j candidates, so only a
+class with fewer than n candidates is compared with its members, and a
+node whose pass meets an emptied set is a wipe-out, not a closing.  A
+closed node has no completion, so the orbit and type rules, which read a
+failure as "no completion", hold with it.
 
 No reduction narrows another vertex's candidate set: translation and
 conjugation fix v1's image and v2's candidates, the orbit and type rules
@@ -151,11 +157,13 @@ check.
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  The search relabels the vertices by ``graphs.degree_order`` once,
 so the earliest member of a class in degree order is its lowest bit.  Each
-assignment narrows the classes in one pass; an emptied set ends the branch,
-else the search branches next on the earliest member of a class with the
-fewest candidates, the class with the earliest member on a tie: the vertex
-with the fewest candidates, the earliest in degree order on a tie (so v1
-comes first in degree order, and v2 is its first neighbour if it has one).
+assignment narrows the classes in one pass (``_propagate``), which also
+runs the distinct-images check and finds the fail-first class: an emptied
+set ends the branch, else the search branches next on the earliest member
+of a class with the fewest candidates, the class with the earliest member
+on a tie: the vertex with the fewest candidates, the earliest in degree
+order on a tie (so v1 comes first in degree order, and v2 is its first
+neighbour if it has one).
 Children get fresh lists, so backtracking restores nothing.  No reduction
 depends on this order: translation and conjugation hold for whichever
 vertices come first, and the orbit rule is about completions of the images
@@ -261,6 +269,18 @@ def _perm(k: int, r: int) -> Perm:
 
 
 @lru_cache(maxsize=AGREE_MEMO_CAP)
+def _perm_inverse(k: int, r: int) -> Perm:
+    """The inverse of the permutation of rank r in S_k, cached like it."""
+    return inverse(_perm(k, r))
+
+
+@lru_cache(maxsize=AGREE_MEMO_CAP)
+def _rank(p: Perm) -> int:
+    """The rank of p in S_k, cached like the permutations of each rank."""
+    return rank_perm(p)
+
+
+@lru_cache(maxsize=AGREE_MEMO_CAP)
 def _agreement(k: int, r: int) -> int:
     """Bitset of the ranks that agree with rank r in some position, r included."""
     m = 0
@@ -314,15 +334,14 @@ def _class_members(k: int) -> dict[Perm, tuple[Perm, ...]]:
     return {rho: tuple(ps) for rho, ps in members.items()}
 
 
-@lru_cache(maxsize=AGREE_MEMO_CAP)
 def _unbanned(k: int, r: int, banned: tuple[Perm, ...]) -> int:
     """Bitset of the ranks s whose label with rank r, the class of r^-1 o s,
     is none of the classes ``banned`` (given by their representatives)."""
-    p = unrank_perm(r, k)
+    p = _perm(k, r)
     m = (1 << factorial(k)) - 1
     for rho in banned:
         for q in _class_members(k)[rho]:
-            m ^= 1 << rank_perm(tuple(p[x - 1] for x in q))
+            m ^= 1 << _rank(tuple([p[x - 1] for x in q]))
     return m
 
 
@@ -338,29 +357,6 @@ def _element(a: list[int], inverted: bool) -> tuple[tuple[int, ...], tuple[int, 
     for x in range(1, len(a)):
         a_inv[a[x] - 1] = x - 1
     return tuple(a), tuple(a_inv), inverted
-
-
-def _images(group, p: Perm):
-    """The image of p under each element of the group, in order."""
-    p_inv = inverse(p)
-    for a, a_inv, inverted in group:
-        q = p_inv if inverted else p
-        yield tuple(map(a.__getitem__, map(q.__getitem__, a_inv)))
-
-
-def _stabiliser(group, fixed: tuple[int, ...], k: int):
-    """The elements of ``group`` that fix the permutation of every rank in
-    ``fixed``.  A group of None stands for G_1 = H: then fixed[0] is the
-    second vertex's class representative rho, and G_2 is built from rho's
-    cycles."""
-    if group is None:
-        group, fixed = _representative_stabiliser(unrank_perm(fixed[0], k)), fixed[1:]
-    for r in fixed:
-        if len(group) == 1:  # the identity alone
-            break
-        p = unrank_perm(r, k)
-        group = [h for h, q in zip(group, _images(group, p)) if q == p]
-    return group
 
 
 @lru_cache(maxsize=None)
@@ -443,12 +439,45 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     return tuple(t)
 
 
-def _distinct_images(classes: list[tuple[int, int]]) -> bool:
-    """The distinct-images check: whether the unassigned vertices, grouped in
-    ``classes`` of (members, candidate set), can all get different images.
-    The classes' sets are disjoint, so they can iff every class has at least
-    as many candidates as members (module docstring)."""
-    return all(members.bit_count() <= cand.bit_count() for members, cand in classes)
+def _propagate(classes: list[tuple[int, int]], adj: int, row: int, non: int, n: int):
+    """Propagate an assignment u = r to the n vertices left unassigned, in one
+    pass.  ``classes`` group them as (members, candidate set); ``adj`` is u's
+    neighbours, ``row`` the Cayley row of r and ``non`` its other
+    non-neighbours.  Each class splits by adjacency to u and each part is
+    narrowed with one AND.  Returns None on a wipe-out, else the new classes,
+    the index of the fail-first one (the fewest candidates, then the earliest
+    member) and whether the distinct-images check closes the node: some class
+    has fewer candidates than members, which the classes' disjoint sets make
+    exact (module docstring).  A class with n or more candidates has at least
+    as many as members, so only counts below n are compared with the
+    members."""
+    new = []
+    pick, fewest, first, short = 0, 1 << 16, 0, False  # every count is below 2^16 (8! < 65,536)
+    for members, cand in classes:
+        near = members & adj
+        if near:
+            part = cand & row
+            if not part:
+                return None
+            count = part.bit_count()
+            if count < n and count < near.bit_count():
+                short = True
+            if count <= fewest and (count < fewest or near & -near < first):
+                pick, fewest, first = len(new), count, near & -near
+            new.append((near, part))
+            if near == members:
+                continue
+            members ^= near
+        part = cand & non
+        if not part:
+            return None
+        count = part.bit_count()
+        if count < n and count < members.bit_count():
+            short = True
+        if count <= fewest and (count < fewest or members & -members < first):
+            pick, fewest, first = len(new), count, members & -members
+        new.append((members, part))
+    return new, pick, short
 
 
 def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
@@ -467,67 +496,90 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     adjacent = [sum(1 << pos[w] for w in range(g.n) if g.adj[v] >> w & 1) for v in order]
     images = [0] * g.n  # the rank of each assigned position's image
     # The type rule's state: B2, the refuted classes of the second vertex (by
-    # their representatives); B3, the refuted normal forms of the current
-    # third-vertex frame, with the second vertex's image rho there and the
-    # normaliser of each pair of image ranks; and the links: for each vertex
-    # z, each tuple xs with xs + (z,) in O2 or O3, with the bitset of xs (all
-    # as positions).  O2 joins the links when the first class is refuted; O3,
-    # of the third vertex ``linked``, when a refutation there first leaves
-    # candidates, replacing the triples of an earlier third vertex.
+    # their representatives), with the candidates each assigned rank leaves
+    # under them; B3, the refuted normal forms of the current third-vertex
+    # frame, with the second vertex's image rho there and the normaliser of
+    # each pair of image ranks; and the links: for each vertex z, each tuple
+    # xs with xs + (z,) in O2 or O3, with the bitset of xs (all as
+    # positions).  O2 joins the links when the first class is refuted; O3, of
+    # the third vertex ``linked``, when a refutation there first leaves
+    # candidates, replacing the triples of an earlier third vertex.  Both
+    # orbits draw on one list of the automorphisms of g found so far.
     banned: tuple[Perm, ...] = ()
+    pair_bans: dict[int, int] = {}
     refuted: set[Perm] = set()
     rho: Perm = ()
     normalisers: dict[tuple[int, int], tuple | None] = {}
     links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(g.n)]
     linked = -1
+    automorphisms: list[list[int]] = []
+    # The orbit rule's state, for the current rho: G_2, built on first use,
+    # and for each element h of G_2 (by index) the rank of h(r) for each rank
+    # r the stabilisers and orbits have asked for.
+    group2: tuple | None = None
+    action: list[dict[int, int]] = []
 
     def branch(classes: list[tuple[int, int]], u: int, r: int, n: int):
         """Propagate u = r to the n unassigned vertices, grouped in
-        ``classes`` of (members, candidate set): each class splits by
-        adjacency to u.  Returns None on a wipe-out or when the new classes
-        fail the distinct-images check, else the vertex with the fewest
-        candidates (the earliest on a tie), its candidates, and the other
-        classes."""
+        ``classes`` of (members, candidate set) (``_propagate``).  Returns
+        None on a wipe-out or when the distinct-images check closes the node,
+        else the vertex with the fewest candidates (the earliest on a tie),
+        its candidates, and the other classes."""
         non = _agreement(k, r)
-        row = full ^ non
-        non ^= 1 << r
-        adj = adjacent[u]
-        new = []
-        for members, cand in classes:
-            near = members & adj
-            if near:
-                cand_near = cand & row
-                if not cand_near:
-                    return None
-                new.append((near, cand_near))
-            if near != members:
-                cand &= non
-                if not cand:
-                    return None
-                new.append((members ^ near, cand))
-        # fail-first: the fewest candidates, then the earliest member (a bit below 1 << g.n)
-        keys = [cand.bit_count() << g.n | members & -members for members, cand in new]
-        least = min(keys)
-        if least >> g.n < n and not _distinct_images(new):
+        out = _propagate(classes, adjacent[u], full ^ non, non ^ 1 << r, n)
+        if out is None:
+            return None
+        new, pick, closed = out
+        if closed:
             stats.hall_closed += 1
             return None
-        members, cand = new.pop(keys.index(least))
+        members, cand = new.pop(pick)
         low = members & -members
         if members != low:
             new.append((members ^ low, cand))
         return low.bit_length() - 1, cand, new
+
+    def images_of(r: int, group) -> list[int]:
+        """The rank of h(r) for each element h of ``group`` (indices into
+        G_2), in order, from the memo."""
+        out = []
+        for i in group:
+            memo = action[i]
+            s = memo.get(r)
+            if s is None:
+                a, a_inv, inverted = group2[i]
+                q = _perm_inverse(k, r) if inverted else _perm(k, r)
+                s = memo[r] = _rank(tuple(map(a.__getitem__, map(q.__getitem__, a_inv))))
+            out.append(s)
+        return out
+
+    def stabiliser(group, fixed: tuple[int, ...]):
+        """The elements of ``group`` that fix every rank in ``fixed``.  A
+        group of None stands for G_1 = H: then fixed[0] is rho's rank, and
+        the group is all of G_2."""
+        nonlocal group2, action
+        if group is None:
+            if group2 is None:
+                group2 = _representative_stabiliser(rho)
+                action = [{} for _ in group2]
+            group, fixed = range(len(group2)), fixed[1:]
+        for r in fixed:
+            if len(group) == 1:  # the identity alone
+                break
+            group = [i for i, s in zip(group, images_of(r, group)) if s == r]
+        return group
 
     def normaliser(rx: int, ry: int):
         """For the images p and p' of ranks rx and ry: None when
         beta = p^-1 o p' is not in rho's class, else (lut, t0) such that the
         normal form t^-1 o p^-1 o c o t of a candidate c, with
         t o rho o t^-1 = beta, is tuple([lut[c[j]] for j in t0])."""
-        p_inv = inverse(_perm(k, rx))
-        t = _conjugator(rho, tuple(p_inv[v - 1] for v in _perm(k, ry)))
+        p_inv = _perm_inverse(k, rx)
+        t = _conjugator(rho, tuple([p_inv[v - 1] for v in _perm(k, ry)]))
         if t is None:
             return None
         t_inv = inverse(t)
-        return (0,) + tuple(t_inv[v - 1] for v in p_inv), tuple(v - 1 for v in t)
+        return tuple([0] + [t_inv[v - 1] for v in p_inv]), tuple([v - 1 for v in t])
 
     def type_rule(z: int, bits: int, done: int) -> int:
         """The type rule: the candidates in ``bits`` of the vertex z that give
@@ -538,7 +590,11 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
             if done & both != both:
                 continue
             if len(xs) == 1:
-                allowed &= _unbanned(k, images[xs[0]], banned)
+                rx = images[xs[0]]
+                mask = pair_bans.get(rx)
+                if mask is None:
+                    mask = pair_bans[rx] = _unbanned(k, rx, banned)
+                allowed &= mask
             elif refuted:
                 key = images[xs[0]], images[xs[1]]
                 nf = normalisers.get(key, False)
@@ -552,8 +608,10 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                 low = rest & -rest
                 rest ^= low
                 c = _perm(k, low.bit_length() - 1)
-                if any(tuple([lut[c[j]] for j in t0]) in refuted for lut, t0 in forms):
-                    allowed ^= low
+                for lut, t0 in forms:
+                    if tuple([lut[c[j]] for j in t0]) in refuted:
+                        allowed ^= low
+                        break
         stats.skips += (bits ^ allowed).bit_count()
         return allowed
 
@@ -562,11 +620,12 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         """Try every candidate rank in bits for u; ``classes`` group the other
         unassigned vertices and ``done`` is the bitset of the assigned ones.
         The stabiliser G of the images assigned so far is the set of elements
-        of ``group`` that fix the ranks ``fixed`` (``_stabiliser``); it is
+        of ``group`` that fix the ranks ``fixed`` (``stabiliser``); it is
         built only when a failure leaves candidates."""
-        nonlocal banned, refuted, rho, normalisers, linked
-        if done == third:  # a new third-vertex frame: B3 starts empty
-            refuted, rho, normalisers = set(), _perm(k, images[v2]), {}
+        nonlocal banned, refuted, rho, normalisers, linked, group2
+        if done == third:  # a new third-vertex frame, and a new rho: B3 starts empty
+            refuted, rho = set(), _perm(k, images[v2])
+            normalisers, group2 = {}, None
         n = g.n - 1 - done.bit_count()  # the vertices left once u is assigned
         if links[u]:
             bits = type_rule(u, bits, done)
@@ -588,26 +647,30 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                 break
             if done == second:  # the type rule: B2 gains r's class
                 if not banned:
-                    for x, y in pair_orbit(g, order[0], order[u]):
+                    for x, y in pair_orbit(g, order[0], order[u], automorphisms):
                         x, y = pos[x], pos[y]
                         links[x].append(((y,), 1 << y))
                         links[y].append(((x,), 1 << x))
                 banned += (unrank_perm(r, k),)
+                pair_bans.clear()
                 continue
             if fixed:
-                group, fixed = _stabiliser(group, fixed, k), ()
+                group, fixed = stabiliser(group, fixed), ()
             if done == third:  # the type rule: B3 gains the G_2-orbit of r
                 if linked != u:
                     for z in range(g.n):
                         links[z] = [link for link in links[z] if len(link[0]) == 1]
-                    for x, y, z in tuple_orbit(g, (order[0], order[v2], order[u])):
+                    for x, y, z in tuple_orbit(g, (order[0], order[v2], order[u]), automorphisms):
                         x, y, z = pos[x], pos[y], pos[z]
                         links[z].append(((x, y), 1 << x | 1 << y))
                     linked = u
-                refuted.update(_images(group, _perm(k, r)))
+                refuted.update(_perm(k, s) for s in images_of(r, group))
                 bits = type_rule(u, bits, done)
             elif len(group) > 1:  # the orbit rule (fourth vertex on): u = h(r) fails too, for h in G
-                drop = sum(1 << rank_perm(q) for q in set(_images(group, _perm(k, r)))) & bits
+                drop = 0
+                for s in images_of(r, group):
+                    drop |= 1 << s
+                drop &= bits
                 stats.skips += drop.bit_count()
                 bits ^= drop
         return "no"

@@ -173,7 +173,6 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
         assert code == 2 and "unrecognized arguments" in err and out == "", argv
 
 
-@pytest.mark.slow
 def test_solve_c15_node_limit_counts_every_width(capsys):
     # width 5 is refuted in exactly 4,558 nodes, so width 6 gets none
     code, out, err = run(capsys, "solve", "C15", "--node-limit", "4558")

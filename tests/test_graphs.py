@@ -229,12 +229,19 @@ def test_three_paths_of_cycles_and_paths():
 
 
 def test_triple_orbits_match_every_relabelling():
+    # each orbit alone, and with one list of automorphisms shared by every
+    # call on the graph, as the solver shares it between its orbits
     for n in range(3, 6):
         for g in nonisomorphic_graphs(n):
-            auts = automorphisms(g)
+            auts, found = automorphisms(g), []
+            assert pair_orbit(g, 0, 1, found) == {tuple(sorted((p[0], p[1]))) for p in auts}
             for vs in permutations(range(n), 3):
                 want = {tuple(p[v] for v in vs) for p in auts}
                 assert tuple_orbit(g, vs) == want, (graph6_encode(g), vs)
+                assert tuple_orbit(g, vs, found) == want, (graph6_encode(g), vs)
+            # every automorphism appended is one, and one is appended whenever g has one
+            assert {tuple(phi) for phi in found} <= set(auts), graph6_encode(g)
+            assert bool(found) == (len(auts) > 1), graph6_encode(g)
 
 
 def test_capped_orbit_search_only_leaves_pairs_out(monkeypatch):

@@ -22,7 +22,6 @@ from drn.solver import (
     _agreement,
     _class_representatives,
     _conjugator,
-    _images,
     _masks,
     _representative_stabiliser,
     _unbanned,
@@ -131,32 +130,32 @@ def test_wide_decisions_and_node_counts(spec, k, nodes):
 WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
 
 
-@pytest.mark.slow
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 4558
+    assert verdict == "no" and witness is None
+    assert (stats.nodes, stats.skips, stats.hall_closed) == (4558, 1242, 2371)
 
 
-@pytest.mark.slow
 def test_c17_width5_refutation_node_count():
     # the search walks C15's path prefix, but with two more unassigned
     # vertices the distinct-images check closes nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 1721
+    assert verdict == "no" and witness is None
+    assert (stats.nodes, stats.skips, stats.hall_closed) == (1721, 776, 1108)
 
 
-@pytest.mark.slow
 def test_p16_width5_refutation_node_count():
     # with P15 at width 5 (above), the longest induced path of the width-5 graph has 15 vertices
     verdict, witness, stats = is_k_representable(G("P16"), 5)
-    assert verdict == "no" and witness is None and stats.nodes == 10819
+    assert verdict == "no" and witness is None
+    assert (stats.nodes, stats.skips, stats.hall_closed) == (10819, 468, 7259)
 
 
 @pytest.mark.slow
 def test_c22_width6_decision_node_count():
     verdict, witness, stats = is_k_representable(G("C22"), 6)
     assert verdict == "yes" and witness.k == 6 and verify(G("C22"), witness).valid
-    assert stats.nodes == 278370
+    assert (stats.nodes, stats.skips, stats.hall_closed) == (278370, 18, 119139)
 
 
 @pytest.mark.slow
@@ -164,7 +163,7 @@ def test_p22_width6_decision_node_count():
     # every induced subpath of an induced path is one, so drn(P16..P22) = 6
     verdict, witness, stats = is_k_representable(G("P22"), 6)
     assert verdict == "yes" and witness.k == 6 and verify(G("P22"), witness).valid
-    assert stats.nodes == 204570
+    assert (stats.nodes, stats.skips, stats.hall_closed) == (204570, 175, 127372)
 
 
 def test_class_representatives_are_least_in_their_class():
@@ -191,6 +190,14 @@ def test_unbanned_ranks_are_the_other_labels():
                 assert _set_bits(_unbanned(k, r, banned)) == want, (k, r, banned)
 
 
+def _apply(h, p):
+    """The image of p under the element h = (a, a_inv, inverted) of H:
+    a o p o a^-1, with p inverted first when inverted."""
+    a, _, inverted = h
+    q = inverse(p) if inverted else p
+    return compose(a[1:], compose(q, inverse(a[1:])))
+
+
 def test_representative_stabiliser_is_the_stabiliser_in_h():
     # G_2 = {h in H : h(rho) = rho}, against a scan of S_k, as (a, inverted) pairs
     for k in range(1, 6):
@@ -204,7 +211,8 @@ def test_representative_stabiliser_is_the_stabiliser_in_h():
             group = _representative_stabiliser(rho)
             got = [(a[1:], inverted) for a, _, inverted in group]
             assert len(got) == len(set(got)) and set(got) == expected, rho
-            assert all(q == rho for q in _images(group, rho))
+            # the search reads a^-1 from a_inv, 0-based
+            assert all(tuple(x + 1 for x in a_inv) == inverse(a[1:]) for a, a_inv, _ in group), rho
 
 
 def test_stabiliser_acts_as_automorphisms():
@@ -214,7 +222,7 @@ def test_stabiliser_acts_as_automorphisms():
         for rho in rng.sample(_class_representatives(k)[1:], 3):
             group = rng.sample(_representative_stabiliser(rho), 6) if k == 8 else _representative_stabiliser(rho)
             sample = [unrank_perm(r, k) for r in rng.sample(range(factorial(k)), 12)]
-            images = [list(_images(group, p)) for p in sample]
+            images = [[_apply(h, p) for h in group] for p in sample]
             for i in range(len(sample)):
                 for j in range(i + 1, len(sample)):
                     rel = disagree_everywhere(sample[i], sample[j])
@@ -309,8 +317,8 @@ def test_symmetry_rules_keep_every_verdict_and_witness(monkeypatch):
     reduced = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "_representative_stabiliser",
                         lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
-    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
-    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset({(min(u, v), max(u, v))}))
+    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
     for (g, k), (verdict, witness, stats) in zip(cases, reduced):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -324,7 +332,7 @@ def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
     # identical
     cases = _rule_corpus()
     banned = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset({(min(u, v), max(u, v))}))
     for (g, k), (verdict, witness, stats) in zip(cases, banned):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -335,7 +343,7 @@ def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
 
 def test_label_rule_is_lazy(monkeypatch):
     # searches whose first class of the second vertex succeeds compute no orbit
-    def refuse(g, u, v):
+    def refuse(g, u, v, found):
         raise AssertionError("pair_orbit called")
 
     monkeypatch.setattr(solver, "pair_orbit", refuse)
@@ -349,7 +357,7 @@ def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
     # candidates of v3 itself, the verdict and the witness are identical
     cases = _rule_corpus()
     barred = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
     for (g, k), (verdict, witness, stats) in zip(cases, barred):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -377,7 +385,7 @@ TRIPLE_RULE_FORMER_CASES = [
 def _check_triple_rule_cases(cases, monkeypatch, fires=True):
     plain = {}
     with monkeypatch.context() as m:
-        m.setattr(solver, "tuple_orbit", lambda g, vs: frozenset({tuple(vs)}))
+        m.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
         for g6, k in cases:
             plain[g6, k] = is_k_representable(G(f"g6:{g6}"), k)[2].nodes
     for g6, k in cases:
@@ -400,7 +408,7 @@ def test_differential_triple_rule_cases_order_six(monkeypatch):
 def test_triple_rule_is_lazy(monkeypatch):
     # searches in which no refutation of the third vertex leaves candidates
     # compute no triple orbit
-    def refuse(g, vs):
+    def refuse(g, vs, found):
         raise AssertionError("tuple_orbit called")
 
     monkeypatch.setattr(solver, "tuple_orbit", refuse)
@@ -421,7 +429,13 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
     # witness are identical
     cases = _rule_corpus()
     checked = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "_distinct_images", lambda classes: True)
+    propagate = solver._propagate
+
+    def unchecked(*args):
+        out = propagate(*args)
+        return out and out[:2] + (False,)
+
+    monkeypatch.setattr(solver, "_propagate", unchecked)
     for (g, k), (verdict, witness, stats) in zip(cases, checked):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -432,12 +446,17 @@ def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
 
 
 def test_distinct_check_is_lazy(monkeypatch):
-    # no candidate set of these searches is smaller than the number of
-    # unassigned vertices, so none reaches the check
-    def refuse(classes):
-        raise AssertionError("_distinct_images called")
+    # no class of these searches has fewer candidates than there are
+    # unassigned vertices, so the check compares no class with its members
+    propagate = solver._propagate
 
-    monkeypatch.setattr(solver, "_distinct_images", refuse)
+    def checked(classes, adj, row, non, n):
+        out = propagate(classes, adj, row, non, n)
+        if out is not None:
+            assert all(cand.bit_count() >= n for _, cand in out[0]), n
+        return out
+
+    monkeypatch.setattr(solver, "_propagate", checked)
     for spec, k in WIDE_CALLS:
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
@@ -445,27 +464,30 @@ def test_distinct_check_is_lazy(monkeypatch):
 def test_class_test_is_hall_on_disjoint_class_sets(monkeypatch):
     # the candidate sets of different classes are pairwise disjoint, so the
     # unassigned vertices have distinct images iff no class has more members
-    # than candidates: at every check, the class test agrees with the
-    # matcher on the sets repeated once per member
-    class_test = solver._distinct_images
+    # than candidates: at every node that propagates without a wipe-out, the
+    # class test agrees with the matcher on the sets repeated once per member
+    propagate = solver._propagate
     results = []
 
-    def checked(classes):
-        sets = [cand for _, cand in classes]
-        assert all(not a & b for i, a in enumerate(sets) for b in sets[:i]), classes
-        family = [cand for members, cand in classes for _ in range(members.bit_count())]
-        results.append(class_test(classes))
-        assert results[-1] == (distinct_representatives(family) is not None), classes
-        return results[-1]
+    def checked(*args):
+        out = propagate(*args)
+        if out is not None:
+            classes, _, closed = out
+            sets = [cand for _, cand in classes]
+            assert all(not a & b for i, a in enumerate(sets) for b in sets[:i]), classes
+            family = [cand for members, cand in classes for _ in range(members.bit_count())]
+            results.append(closed)
+            assert closed == (distinct_representatives(family) is None), classes
+        return out
 
-    monkeypatch.setattr(solver, "_distinct_images", checked)
+    monkeypatch.setattr(solver, "_propagate", checked)
     closed = 0
     for g, k in _rule_corpus():
         stats = is_k_representable(g, k)[2]
         closed += stats.hall_closed
         if (g, k) == (G("C15"), 5):
             assert stats.hall_closed == 2371
-    assert closed == results.count(False) > 0 and True in results
+    assert closed == results.count(True) > 0 and False in results
 
 
 def test_hall_counter_repeats():
