@@ -151,6 +151,7 @@ def _solve_payload(spec: str, res) -> dict:
         "witness_source": res.witness_source,
         "witness": write_matrix(res.witness),
         "stats": {str(k): {"nodes": s.nodes, "skips": s.skips, "hall_closed": s.hall_closed,
+                           "degree_closed": s.degree_closed,
                            "millis": round(s.millis, 3), "verdict": s.verdict}
                   for k, s in res.stats.items()},
     }
@@ -170,7 +171,7 @@ def cmd_solve(args) -> int:
             lines.append(f"  refuted widths: {', '.join(map(str, res.ks_refuted))}")
         for k, s in sorted(res.stats.items()):
             lines.append(f"  width {k}: {s.verdict} after {s.nodes} nodes, {s.skips} skipped, "
-                         f"{s.hall_closed} closed ({s.millis:.1f} ms)")
+                         f"{s.hall_closed} Hall-closed, {s.degree_closed} degree-closed ({s.millis:.1f} ms)")
         lines.append(f"  witness ({res.witness_source}):")
         lines.extend("    " + " ".join(map(str, row)) for row in res.witness.rows)
         _emit("\n".join(lines), args.out)

@@ -406,13 +406,16 @@ def tuple_orbit(g: Graph, vs: tuple[int, ...],
     n = g.n
     nbrs = [[w for w in range(n) if g.adj[x] >> w & 1] for x in range(n)]
     base, _ = _refine(nbrs, [0] * n, [0] * n)
+    cells = [0] * n  # the vertices of each refined colour
+    for x, c in enumerate(base):
+        cells[c] |= 1 << x
 
     def candidates(prefix: tuple[int, ...]):
         i = len(prefix)
         if i == len(vs):
             yield prefix
             return
-        allowed = sum(1 << x for x in range(n) if base[x] == base[vs[i]])
+        allowed = cells[base[vs[i]]]
         for p, v in zip(prefix, vs):
             allowed &= (g.adj[p] if g.has_edge(vs[i], v) else ~g.adj[p]) & ~(1 << p)
         while allowed:

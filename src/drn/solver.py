@@ -4,8 +4,8 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under four symmetry reductions and the
-distinct-images check (after them):
+bitset candidate propagation, under four symmetry reductions and two checks
+that close nodes, the distinct-images and degree-fit checks (after them):
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
@@ -130,29 +130,57 @@ node whose pass meets an emptied set is a wipe-out, not a closing.  A
 closed node has no completion, so the orbit and type rules, which read a
 failure as "no completion", hold with it.
 
+The degree-fit check closes a node at which some class cannot place its
+members in its own candidate set with the right degrees.  Take a class of
+members M, at least two, with the candidate set S.  In a completion the
+members take |M| distinct images in S.  A completion carries g's adjacency
+both ways, so the image of a member v has exactly d_v Cayley neighbours
+among the images of M, where d_v is v's degree inside g[M], and any other
+neighbour it has in S is one of the |S| - |M| ranks of S that no member
+takes.  So the image of v has a degree inside Gamma_k[S], the Cayley graph
+induced on S, between d_v and d_v + (|S| - |M|), and distinct members take
+distinct ranks.  A node at which some class has no such injection has no
+completion, and it is closed.  The intervals all have the width
+|S| - |M|, so they are ordered alike by both ends; then giving each member,
+in ascending order of d_v, the least unused rank of degree at least d_v
+decides the injection exactly (``_fits``), and when |S| = |M| the check
+says that the two degree sequences are equal.  This is the degree filter
+of subgraph isomorphism (Zampelli, Deville and Solnon, Constraints 15,
+2010; the LAD filter of Solnon, AI 174, 2010), bounded from above as well,
+and used here only to close nodes.  It runs after the pass, when no set was
+emptied and the distinct-images check did not close the node
+(``_degree_closes``), on the classes with at most ``DEGREE_SLACK`` more
+candidates than members: it is sound at any slack, and the limit only
+saves time.  No class has fewer candidates than the fail-first one or more
+members than the n unassigned vertices, so the check runs only when the
+fail-first class has at most n + ``DEGREE_SLACK`` candidates.  The search
+keeps each member set's degrees, and the agreement row of each rank the
+check meets, until it ends.  Like the distinct-images check it narrows no
+candidate set and closes only nodes without a completion, so the orbit and
+type rules hold with it.
+
 No reduction narrows another vertex's candidate set: translation and
 conjugation fix v1's image and v2's candidates, the orbit and type rules
-only skip candidates of the vertex being branched on, and the
-distinct-images check only closes nodes.  So the candidate set of an
-unassigned vertex w is the intersection, over the assigned vertices x, of
-the Cayley row of x's image when w is adjacent to x and of the other
-non-neighbours of that image when not: it depends only on the images
-assigned and on which assigned vertices are w's neighbours.  Vertices with
-the same neighbours among the assigned ones therefore share one set, and
-the search keeps them as one class with one set; an assignment u = r splits
-each class by adjacency to u and narrows each part with one AND.  Each
-skipped candidate and each closed node has no completion: by the claims
-above every representation obeys the type bans, so the orbit rule's
-failures, read under the bans, are failures outright.  Candidate sets
+only skip candidates of the vertex being branched on, and the two checks
+only close nodes.  So the candidate set of an unassigned vertex w is the
+intersection, over the assigned vertices x, of the Cayley row of x's image
+when w is adjacent to x and of the other non-neighbours of that image when
+not: it depends only on the images assigned and on which assigned vertices
+are w's neighbours.  Vertices with the same neighbours among the assigned
+ones therefore share one set, and the search keeps them as one class with
+one set; an assignment u = r splits each class by adjacency to u and
+narrows each part with one AND.  Each skipped candidate and each closed
+node has no completion: by the claims above every representation obeys the
+type bans, so the orbit rule's failures, read under the bans, are failures
+outright.  Candidate sets
 depend only on the images assigned, so at every node that both visit, the
-search with the orbit rule, the type rule and the check off branches on the
+search with the orbit rule, the type rule and the checks off branches on the
 same vertex and tries the same candidates in the same order; it spends
 nodes below the dropped candidates and the closed nodes, finds nothing
 there, and goes on where this search does.  Hence every node visited is one
 it visits, the fail-first order is its order, and every verdict and every
 witness is its verdict and witness; only node counts fall.  Refutations are
-exhaustive under exactly these four reductions and the distinct-images
-check.
+exhaustive under exactly these four reductions and the two checks.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  The search relabels the vertices by ``graphs.degree_order`` once,
@@ -203,10 +231,16 @@ from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
 WIDTH_CAP = 8
 ORDER_CAP = 32  # the largest graph solve_drn takes
-# At most 7! cached agreement rows: every rank for k <= 7, about 25 MB at k = 8.
+# At most 7! cached agreement rows, in the module cache and in each search's
+# degree-fit rows: every rank for k <= 7, about 25 MB at k = 8.
 AGREE_MEMO_CAP = 5040
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT_MS = 15 * 60 * 1000
+# The degree-fit check tests only classes with at most this many more
+# candidates than members.  It is sound at any slack, but looser classes
+# seldom fail it: testing every class saves C15 at width 5 only 24 more of
+# its 1,863 nodes and costs more time than it saves (BENCH_degreefit.json).
+DEGREE_SLACK = 2
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -224,6 +258,7 @@ class SearchStats:
     verdict: str = ""
     skips: int = 0  # candidates the orbit and type rules dropped without a node
     hall_closed: int = 0  # nodes closed because the unassigned vertices have no distinct images
+    degree_closed: int = 0  # nodes closed because a class's members cannot take images of matching degree
 
 
 @dataclass(frozen=True)
@@ -446,11 +481,11 @@ def _propagate(classes: list[tuple[int, int]], adj: int, row: int, non: int, n: 
     non-neighbours.  Each class splits by adjacency to u and each part is
     narrowed with one AND.  Returns None on a wipe-out, else the new classes,
     the index of the fail-first one (the fewest candidates, then the earliest
-    member) and whether the distinct-images check closes the node: some class
+    member), whether the distinct-images check closes the node (some class
     has fewer candidates than members, which the classes' disjoint sets make
-    exact (module docstring).  A class with n or more candidates has at least
-    as many as members, so only counts below n are compared with the
-    members."""
+    exact; module docstring) and the fail-first class's number of
+    candidates.  A class with n or more candidates has at least as many as
+    members, so only counts below n are compared with the members."""
     new = []
     pick, fewest, first, short = 0, 1 << 16, 0, False  # every count is below 2^16 (8! < 65,536)
     for members, cand in classes:
@@ -477,16 +512,86 @@ def _propagate(classes: list[tuple[int, int]], adj: int, row: int, non: int, n: 
         if count <= fewest and (count < fewest or members & -members < first):
             pick, fewest, first = len(new), count, members & -members
         new.append((members, part))
-    return new, pick, short
+    return new, pick, short, fewest
+
+
+def _fits(need: list[int], have: list[int], slack: int) -> bool:
+    """Whether each degree d in ``need`` can take its own element h of
+    ``have`` with d <= h <= d + slack (both lists ascending).  The intervals
+    have equal width, so they are ordered alike by both ends, and giving each
+    d in turn the least unused h >= d decides it exactly: an h skipped as
+    below d is below every later d too."""
+    j, end = 0, len(have)
+    for d in need:
+        while j < end and have[j] < d:
+            j += 1
+        if j == end or have[j] > d + slack:
+            return False
+        j += 1
+    return True
+
+
+def _degree_closes(classes: list[tuple[int, int]], k: int, adjacent: list[int],
+                   internal: dict[int, list[int]], rows: dict[int, int]) -> bool:
+    """The degree-fit check: whether some class (M, S) with at least two
+    members and at most ``DEGREE_SLACK`` more candidates than members has no
+    injection of M into S that sends each member v, of degree d_v inside
+    g[M], to a rank whose degree inside the Cayley graph on S lies between d_v
+    and d_v + |S| - |M| (module docstring).  ``adjacent`` is the adjacency of
+    each position; ``internal`` keeps each member set's degrees, ascending,
+    and ``rows`` the agreement row of each rank met (up to AGREE_MEMO_CAP of
+    them), both for the rest of the search.  A lone member always fits, as
+    its rank has at most |S| - 1 neighbours in S.  The degree of a rank r of
+    S is the number of ranks of S outside r's agreement row.  A rank whose
+    degree lies outside every member's range can take no member, so once
+    more than |S| - |M| ranks do, the class fails before its degrees are
+    sorted."""
+    for members, cand in classes:
+        if not members & members - 1:
+            continue
+        size = cand.bit_count()
+        slack = size - members.bit_count()
+        if slack > DEGREE_SLACK:
+            continue
+        need = internal.get(members)
+        if need is None:
+            need, rest = [], members
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                need.append((adjacent[low.bit_length() - 1] & members).bit_count())
+            need.sort()
+            internal[members] = need
+        lo, hi, spare = need[0], need[-1] + slack, slack
+        have, rest = [], cand
+        while rest:
+            r = rest.bit_length() - 1
+            rest ^= 1 << r
+            row = rows.get(r)
+            if row is None:
+                if len(rows) >= AGREE_MEMO_CAP:
+                    rows.clear()
+                row = rows[r] = _agreement(k, r)
+            d = size - (row & cand).bit_count()
+            if lo <= d <= hi:
+                have.append(d)
+            elif spare:
+                spare -= 1
+            else:
+                return True
+        have.sort()
+        if not _fits(need, have, slack):
+            return True
+    return False
 
 
 def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, tuple[Perm, ...] | None]:
     """DFS with rank-bitset candidates, for g.n >= 2.  Returns the verdict
     and, for "yes", the image of every vertex in vertex order; the candidates
-    skipped and the nodes closed by the distinct-images check are counted in
-    ``stats``.  The search runs on positions in ``graphs.degree_order``:
-    vertex sets are bitsets of positions, so the earliest vertex of a set in
-    degree order is its lowest bit."""
+    skipped and the nodes closed by each check are counted in ``stats``.
+    The search runs on positions in ``graphs.degree_order``: vertex sets are
+    bitsets of positions, so the earliest vertex of a set in degree order is
+    its lowest bit."""
     full = (1 << factorial(k)) - 1
     order = degree_order(g)
     pos = [0] * g.n  # the position of each vertex in degree order
@@ -518,20 +623,29 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     # r the stabilisers and orbits have asked for.
     group2: tuple | None = None
     action: list[dict[int, int]] = []
+    # The degree-fit check's member degrees and agreement rows.
+    internal: dict[int, list[int]] = {}
+    rows: dict[int, int] = {}
 
     def branch(classes: list[tuple[int, int]], u: int, r: int, n: int):
         """Propagate u = r to the n unassigned vertices, grouped in
         ``classes`` of (members, candidate set) (``_propagate``).  Returns
-        None on a wipe-out or when the distinct-images check closes the node,
-        else the vertex with the fewest candidates (the earliest on a tie),
-        its candidates, and the other classes."""
+        None on a wipe-out or when the distinct-images or the degree-fit
+        check closes the node, else the vertex with the fewest candidates
+        (the earliest on a tie), its candidates, and the other classes."""
         non = _agreement(k, r)
         out = _propagate(classes, adjacent[u], full ^ non, non ^ 1 << r, n)
         if out is None:
             return None
-        new, pick, closed = out
+        new, pick, closed, fewest = out
         if closed:
             stats.hall_closed += 1
+            return None
+        # No class has fewer candidates than the fail-first one or more than
+        # n members, so when that one has more than n + DEGREE_SLACK, no class
+        # is tight enough for the degree-fit check.
+        if fewest <= n + DEGREE_SLACK and _degree_closes(new, k, adjacent, internal, rows):
+            stats.degree_closed += 1
             return None
         members, cand = new.pop(pick)
         low = members & -members
@@ -699,11 +813,13 @@ def is_k_representable(
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
     A "no" is an exhaustive refutation under the four symmetry reductions and
-    the distinct-images check in the module docstring.  None of them narrows
-    another vertex's candidate set, so a "yes" returns the witness of the
-    same search with the orbit rule, the type rule and the check off.  ``stats.skips`` counts
-    the candidates the orbit and type rules dropped without spending a node,
-    and ``stats.hall_closed`` the nodes the distinct-images check closed.
+    the distinct-images and degree-fit checks in the module docstring.  None
+    of them narrows another vertex's candidate set, so a "yes" returns the
+    witness of the same search with the orbit rule, the type rule and the
+    checks off.  ``stats.skips`` counts the candidates the orbit and type
+    rules dropped without spending a node, ``stats.hall_closed`` the nodes the
+    distinct-images check closed and ``stats.degree_closed`` those the
+    degree-fit check closed.
     """
     if k < 1:
         raise ValueError("width must be >= 1")

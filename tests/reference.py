@@ -5,7 +5,9 @@ version of a fact the tests check (permutation composition and the
 adjacency test, a decision by enumeration, the position masks by a scan of
 S_k, an induced subgraph, a relabelling, the automorphisms of a graph by
 trying every relabelling, a representation matrix from plain rows, a
-symmetry action on a matrix, Hall's condition over every subfamily).
+symmetry action on a matrix, Hall's condition over every subfamily, an
+induced embedding of some vertices into a set of permutations by trying
+every injection).
 """
 
 from itertools import combinations, permutations
@@ -56,6 +58,18 @@ def has_distinct_representatives(sets) -> bool:
             if union.bit_count() < size:
                 return False
     return True
+
+
+def embeds_induced(adjacent, members, ranks, k: int) -> bool:
+    """Whether the vertices ``members``, with ``adjacent[v]`` the bitset of
+    v's neighbours, take distinct images among the ranks ``ranks`` of S_k
+    such that two of them are adjacent iff their images disagree everywhere,
+    by trying every injection."""
+    perms = all_perms(k)
+    pairs = [(i, j, bool(adjacent[u] >> v & 1)) for i, u in enumerate(members)
+             for j, v in enumerate(members) if i < j]
+    return any(all(disagree_everywhere(perms[image[i]], perms[image[j]]) == edge for i, j, edge in pairs)
+               for image in permutations(ranks, len(members)))
 
 
 def position_masks(k: int) -> tuple[tuple[int, ...], ...]:

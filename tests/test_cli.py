@@ -126,16 +126,18 @@ def test_solve_reports_skips_per_width(capsys):
     width4 = json.loads(out)["stats"]["4"]
     assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 15)
     code, out, _ = run(capsys, "solve", "C7")
-    assert "width 4: no after 9 nodes, 15 skipped, 0 closed (" in out
+    assert "width 4: no after 9 nodes, 15 skipped, 0 Hall-closed, 0 degree-closed (" in out
 
 
 def test_solve_reports_hall_closings_per_width(capsys):
-    # one of C9's 8 width-4 nodes is closed by the distinct-images check
-    code, out, _ = run(capsys, "solve", "C9", "--format", "json")
+    # of C13's 2 width-4 nodes, the distinct-images check closes one and the
+    # degree-fit check the other
+    code, out, _ = run(capsys, "solve", "C13", "--format", "json")
     width4 = json.loads(out)["stats"]["4"]
-    assert (width4["verdict"], width4["nodes"], width4["hall_closed"]) == ("no", 8, 1)
-    code, out, _ = run(capsys, "solve", "C9")
-    assert "width 4: no after 8 nodes, 13 skipped, 1 closed (" in out
+    counts = width4["verdict"], width4["nodes"], width4["hall_closed"], width4["degree_closed"]
+    assert counts == ("no", 2, 1, 1)
+    code, out, _ = run(capsys, "solve", "C13")
+    assert "width 4: no after 2 nodes, 0 skipped, 1 Hall-closed, 1 degree-closed (" in out
 
 
 def test_solve_budget_exit_4(capsys):
@@ -146,11 +148,11 @@ def test_solve_budget_exit_4(capsys):
 
 
 def test_budget_bounds_the_whole_command(capsys):
-    # node totals: K3,3 spends 7 nodes at width 4 and 5 at width 5; cycles
-    # 9..12 spend 71 over all their widths; the 34 order-5 graphs 153 at width 4
-    for argv, total in ((("solve", "K3,3"), 12),
-                        (("table", "cycles", "9..12"), 71),
-                        (("survey", "--order", "5", "--k", "4"), 153)):
+    # node totals: K3,3 spends 6 nodes at width 4 and 5 at width 5; cycles
+    # 9..12 spend 65 over all their widths; the 34 order-5 graphs 142 at width 4
+    for argv, total in ((("solve", "K3,3"), 11),
+                        (("table", "cycles", "9..12"), 65),
+                        (("survey", "--order", "5", "--k", "4"), 142)):
         code, out, err = run(capsys, *argv, "--node-limit", str(total - 1))
         assert code == 4 and f"({total - 1} in all)" in err and out == "", argv
         code, out, _ = run(capsys, *argv, "--node-limit", str(total))
@@ -174,9 +176,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 
 def test_solve_c15_node_limit_counts_every_width(capsys):
-    # width 5 is refuted in exactly 4,558 nodes, so width 6 gets none
-    code, out, err = run(capsys, "solve", "C15", "--node-limit", "4558")
-    assert code == 4 and "at width 6 after 0 nodes (4558 in all)" in err and out == ""
+    # width 5 is refuted in exactly 1,863 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "1863")
+    assert code == 4 and "at width 6 after 0 nodes (1863 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

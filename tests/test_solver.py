@@ -1,5 +1,7 @@
 import random
 import time
+from itertools import combinations_with_replacement
+from itertools import permutations as iter_permutations
 from math import factorial
 
 import pytest
@@ -33,6 +35,7 @@ from reference import (
     brute_force_oracle,
     compose,
     disagree_everywhere,
+    embeds_induced,
     induced,
     position_masks,
 )
@@ -113,12 +116,12 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 655),
+    ("C16", 5, 253),
     ("C16", 7, 15),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
-    ("C21", 6, 3634),
-    ("P15", 5, 1031),
+    ("C21", 6, 1535),
+    ("P15", 5, 307),
 ])
 def test_wide_decisions_and_node_counts(spec, k, nodes):
     verdict, witness, stats = is_k_representable(G(spec), k)
@@ -133,29 +136,38 @@ WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed) == (4558, 1242, 2371)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 764, 471, 716)
 
 
 def test_c17_width5_refutation_node_count():
     # the search walks C15's path prefix, but with two more unassigned
-    # vertices the distinct-images check closes nodes sooner than in C15
+    # vertices the checks close nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed) == (1721, 776, 1108)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (638, 447, 208, 261)
 
 
 def test_p16_width5_refutation_node_count():
     # with P15 at width 5 (above), the longest induced path of the width-5 graph has 15 vertices
     verdict, witness, stats = is_k_representable(G("P16"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed) == (10819, 468, 7259)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (3137, 377, 1144, 1272)
+
+
+def test_k7_width6_refutation_node_count():
+    # v2 is adjacent to v1, so it runs through the four derangement classes
+    # of S_6 and B2 grows three times: the pair-ban masks made under a
+    # smaller B2 must be dropped, or the type rule bars fewer candidates
+    verdict, witness, stats = is_k_representable(G("K7"), 6)
+    assert verdict == "no" and witness is None
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (104, 558, 51, 28)
 
 
 @pytest.mark.slow
 def test_c22_width6_decision_node_count():
     verdict, witness, stats = is_k_representable(G("C22"), 6)
     assert verdict == "yes" and witness.k == 6 and verify(G("C22"), witness).valid
-    assert (stats.nodes, stats.skips, stats.hall_closed) == (278370, 18, 119139)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (117154, 18, 31411, 29031)
 
 
 @pytest.mark.slow
@@ -163,7 +175,7 @@ def test_p22_width6_decision_node_count():
     # every induced subpath of an induced path is one, so drn(P16..P22) = 6
     verdict, witness, stats = is_k_representable(G("P22"), 6)
     assert verdict == "yes" and witness.k == 6 and verify(G("P22"), witness).valid
-    assert (stats.nodes, stats.skips, stats.hall_closed) == (204570, 175, 127372)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (91474, 168, 41648, 17894)
 
 
 def test_class_representatives_are_least_in_their_class():
@@ -367,18 +379,20 @@ def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
 
 
 # Every order <= 6 case, at widths 3..5, in which the type rule on triples
-# skips a candidate that the other reductions would have tried.
-TRIPLE_RULE_CASES = [("D}o", 4), ("D~w", 5)]
+# skips a candidate that the other reductions would have tried: the one of
+# order 5, one of order 6, and the rest of order 6.
+TRIPLE_RULE_CASES = [("D~w", 5), ("E_??", 4)]
 TRIPLE_RULE_CASES_ORDER_SIX = [
-    ("E_??", 4), ("EK??", 4), ("E}a?", 4), ("E}o?", 4), ("E}q?", 4), ("Elr?", 4),
-    ("E~w?", 5), ("Efz?", 4), ("EVz?", 4), ("E~z?", 5), ("Efz_", 4), ("E~z_", 5),
-    ("Ezn?", 4), ("E~v_", 5), ("E~~_", 5), ("E}~o", 5), ("E~~o", 5), ("E~~w", 5),
+    ("EK??", 4), ("E}a?", 4), ("E~w?", 5), ("EVz?", 4), ("E~z?", 5), ("E~z_", 5),
+    ("E~v_", 5), ("E~~_", 5), ("E}~o", 5), ("E~~o", 5), ("E~~w", 5),
 ]
-# Cases in which the rule fired before the distinct-images check, which now
-# closes those nodes first; they stay in the verdict differential.
+# Cases in which the rule fired before the distinct-images check (the first
+# two lines) or the degree-fit check (the last), which now close those nodes
+# first; they stay in the verdict differential.
 TRIPLE_RULE_FORMER_CASES = [
     ("E}r?", 4), ("Exr?", 4), ("E~r?", 4), ("E~z?", 4), ("E~N?", 4), ("E~~?", 4),
     ("E~v_", 4), ("E}~o", 4),
+    ("D}o", 4), ("E}o?", 4), ("E}q?", 4), ("Elr?", 4), ("Efz?", 4), ("Efz_", 4), ("Ezn?", 4),
 ]
 
 
@@ -426,14 +440,16 @@ def test_skip_counter_repeats():
 def test_distinct_check_keeps_every_verdict_and_witness(monkeypatch):
     # the check closes only nodes without a completion and narrows no
     # candidate set: against the same search without it, the verdict and the
-    # witness are identical
+    # witness are identical (the degree-fit check, off on both sides, would
+    # close every node that this one closes)
     cases = _rule_corpus()
+    monkeypatch.setattr(solver, "_degree_closes", lambda *args: False)
     checked = [is_k_representable(g, k) for g, k in cases]
     propagate = solver._propagate
 
     def unchecked(*args):
         out = propagate(*args)
-        return out and out[:2] + (False,)
+        return out and out[:2] + (False,) + out[3:]
 
     monkeypatch.setattr(solver, "_propagate", unchecked)
     for (g, k), (verdict, witness, stats) in zip(cases, checked):
@@ -466,14 +482,17 @@ def test_class_test_is_hall_on_disjoint_class_sets(monkeypatch):
     # unassigned vertices have distinct images iff no class has more members
     # than candidates: at every node that propagates without a wipe-out, the
     # class test agrees with the matcher on the sets repeated once per member
+    # (and the count reported for the fail-first class, which gates the
+    # degree-fit check, is the least)
     propagate = solver._propagate
     results = []
 
     def checked(*args):
         out = propagate(*args)
         if out is not None:
-            classes, _, closed = out
+            classes, pick, closed, fewest = out
             sets = [cand for _, cand in classes]
+            assert fewest == sets[pick].bit_count() == min(cand.bit_count() for cand in sets)
             assert all(not a & b for i, a in enumerate(sets) for b in sets[:i]), classes
             family = [cand for members, cand in classes for _ in range(members.bit_count())]
             results.append(closed)
@@ -486,7 +505,7 @@ def test_class_test_is_hall_on_disjoint_class_sets(monkeypatch):
         stats = is_k_representable(g, k)[2]
         closed += stats.hall_closed
         if (g, k) == (G("C15"), 5):
-            assert stats.hall_closed == 2371
+            assert stats.hall_closed == 471
     assert closed == results.count(True) > 0 and False in results
 
 
@@ -495,6 +514,141 @@ def test_hall_counter_repeats():
     assert (first.nodes, first.hall_closed) == (second.nodes, second.hall_closed)
     assert first.hall_closed > 0
     assert all(is_k_representable(G(spec), k)[2].hall_closed == 0 for spec, k in WIDE_CALLS)
+
+
+def test_fits_is_an_injection_along_the_degree_intervals():
+    # against every injection of the needed degrees into the ranks' degrees,
+    # over all small ascending lists and slacks
+    for m in range(1, 4):
+        for need in combinations_with_replacement(range(4), m):
+            for slack in range(3):
+                for have in combinations_with_replacement(range(4), m + slack):
+                    want = any(all(d <= have[j] <= d + slack for d, j in zip(need, js))
+                               for js in iter_permutations(range(len(have)), m))
+                    assert solver._fits(list(need), list(have), slack) == want, (need, have, slack)
+
+
+def test_degree_closes_on_single_classes():
+    # against the definition on random classes: with |M| >= 2 and at most
+    # DEGREE_SLACK more candidates than members, a class closes the node iff
+    # no injection sends each member v to a rank whose degree inside the
+    # Cayley graph on S lies in [d_v, d_v + |S| - |M|]; other classes never do
+    rng = random.Random(11)
+    closed = kept = 0
+    for k in (3, 4, 5):
+        perms = all_perms(k)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            adjacent = [0] * n
+            for u in range(n):
+                for v in range(u):
+                    if rng.random() < 0.5:
+                        adjacent[u] |= 1 << v
+                        adjacent[v] |= 1 << u
+            members = rng.sample(range(n), rng.randint(1, n))
+            if len(members) > factorial(k):
+                continue
+            # Hall's condition holds at every class the check sees
+            ranks = rng.sample(range(factorial(k)), rng.randint(len(members), min(len(members) + 3, factorial(k))))
+            m, c = sum(1 << v for v in members), sum(1 << r for r in ranks)
+            need = [(adjacent[v] & m).bit_count() for v in members]
+            have = [sum(disagree_everywhere(perms[r], perms[q]) for q in ranks) for r in ranks]
+            slack = len(ranks) - len(members)
+            want = len(members) >= 2 and slack <= solver.DEGREE_SLACK and not any(
+                all(d <= have[j] <= d + slack for d, j in zip(need, js))
+                for js in iter_permutations(range(len(ranks)), len(members)))
+            rows = {}
+            got = solver._degree_closes([(m, c)], k, adjacent, {}, rows)
+            assert got == want, (k, adjacent, members, ranks)
+            assert all(rows[r] == _agreement(k, r) for r in rows)
+            closed += got
+            kept += not got and len(members) >= 2 and slack <= solver.DEGREE_SLACK
+    assert closed > 20 and kept > 20
+
+
+def test_degree_check_gate_admits_a_class_at_the_slack():
+    # E_?? (one edge, four isolated vertices) at width 4: one closing comes
+    # at a node whose one class holds all three unassigned vertices and has
+    # five candidates, n + DEGREE_SLACK, so the gate must admit equality
+    verdict, _, stats = is_k_representable(G("g6:E_??"), 4)
+    assert verdict == "no"
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (6, 18, 0, 3)
+
+
+def test_degree_check_keeps_its_counts_when_the_rows_are_dropped(monkeypatch):
+    # the per-search rows are a cache: dropping them whenever three are kept
+    # changes no count
+    monkeypatch.setattr(solver, "AGREE_MEMO_CAP", 3)
+    stats = is_k_representable(G("C15"), 5)[2]
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 764, 471, 716)
+
+
+def _check_degree_closings(cases, monkeypatch) -> int:
+    """Run ``cases`` with every degree-fit closing checked by brute force:
+    some class fails the check alone, and no class that does has an
+    adjacency-preserving injection of its members into its candidate set.
+    Returns the number of closings."""
+    closes = solver._degree_closes
+    closings = []
+
+    def checked(classes, k, adjacent, internal, rows):
+        out = closes(classes, k, adjacent, internal, rows)
+        if out:
+            failing = [cls for cls in classes if closes([cls], k, adjacent, {}, {})]
+            assert failing, classes
+            for members, cand in failing:
+                assert not embeds_induced(adjacent, _set_bits(members), _set_bits(cand), k), (members, cand)
+            closings.append(len(failing))
+        return out
+
+    monkeypatch.setattr(solver, "_degree_closes", checked)
+    for g, k in cases:
+        is_k_representable(g, k)
+    return len(closings)
+
+
+def test_degree_closings_have_no_embedding(monkeypatch):
+    # the check is sound: g[M] has no induced copy in the Cayley graph on S
+    # at any class it closes a node on
+    cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
+    assert _check_degree_closings(cases, monkeypatch) == 27
+
+
+@pytest.mark.slow
+def test_degree_closings_have_no_embedding_order_six(monkeypatch):
+    cases = [(g, k) for g in nonisomorphic_graphs(6) for k in range(1, 6)]
+    assert _check_degree_closings(cases, monkeypatch) == 109
+
+
+def test_degree_check_keeps_every_verdict_and_witness(monkeypatch):
+    # the check closes only nodes without a completion and narrows no
+    # candidate set: against the same search without it, the verdict and the
+    # witness are identical
+    cases = _rule_corpus()
+    checked = [is_k_representable(g, k) for g, k in cases]
+    monkeypatch.setattr(solver, "_degree_closes", lambda *args: False)
+    closed = 0
+    for (g, k), (verdict, witness, stats) in zip(cases, checked):
+        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
+        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
+        assert stats.nodes <= plain_stats.nodes, (g, k)
+        assert plain_stats.degree_closed == 0
+        closed += stats.degree_closed
+        if (g, k) == (G("C15"), 5):
+            assert stats.nodes < plain_stats.nodes
+    assert closed > 0
+
+
+def test_degree_check_is_lazy(monkeypatch):
+    # no class of these searches is within DEGREE_SLACK candidates of the
+    # unassigned vertices, so the check never runs
+    def refuse(*args):
+        raise AssertionError("_degree_closes called")
+
+    monkeypatch.setattr(solver, "_degree_closes", refuse)
+    for spec, k in WIDE_CALLS:
+        verdict, _, stats = is_k_representable(G(spec), k)
+        assert (verdict, stats.degree_closed) == ("yes", 0), (spec, k)
 
 
 def test_conjugator_conjugates_within_a_class():
@@ -620,15 +774,15 @@ def test_zero_time_limit_searches_nothing():
 
 
 def test_budget_is_shared_across_calls():
-    # K3,3 spends 7 nodes refuting width 4 and 5 deciding width 5
-    budget = Budget(node_limit=11)
+    # K3,3 spends 6 nodes refuting width 4 and 5 deciding width 5
+    budget = Budget(node_limit=10)
     assert is_k_representable(G("K3,3"), 4, budget)[0] == "no"
     verdict, _, stats = is_k_representable(G("K3,3"), 5, budget)
-    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 11
+    assert verdict == "unknown" and stats.nodes == 4 and budget.nodes == 10
     with pytest.raises(BudgetExhaustedError, match="at width 5 after 4 nodes"):
-        solve_drn(G("K3,3"), Budget(node_limit=11))
-    res = solve_drn(G("K3,3"), Budget(node_limit=12))
-    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 7, 5: 5}
+        solve_drn(G("K3,3"), Budget(node_limit=10))
+    res = solve_drn(G("K3,3"), Budget(node_limit=11))
+    assert res.drn == 5 and {k: s.nodes for k, s in res.stats.items()} == {4: 6, 5: 5}
 
 
 def test_search_after_the_deadline_spends_nothing():
