@@ -397,35 +397,34 @@ def _superdiag_symbols(sq: LatinSquare) -> tuple[int, list[int]]:
     Position p of the closing row must copy some row j < k of the square at
     column p (one agreement per block row), all copied symbols distinct, and
     never the diagonal cell (the copied value at position p must differ from
-    p so the row still disagrees everywhere with the other endpoint row).
-    The superdiagonal achieves all of that when its symbols are distinct;
-    otherwise a small exact search finds an off-diagonal distinct-symbol
-    transversal of rows [k-1] and columns [2..k].  The leading symbol is then
-    the unique one left over.
+    p so the row still disagrees everywhere with the other endpoint row).  A
+    small exact search finds such an off-diagonal distinct-symbol transversal
+    of rows [k-1] and columns [2..k], trying the rows in ascending order; when
+    the superdiagonal symbols are distinct it takes row p - 1 at every column
+    p, without backtracking.  The leading symbol is then the unique one left
+    over.
     """
     k = sq.n
-    ys = [sq.row(p - 1)[p - 1] for p in range(2, k + 1)]
-    if len(set(ys)) != k - 1:
-        cols = list(range(2, k + 1))
+    cols = list(range(2, k + 1))
 
-        def search(ci, used_rows, used_syms, acc):
-            if ci == len(cols):
-                return acc
-            p = cols[ci]
-            for j in range(1, k):
-                if j == p or used_rows >> j & 1:
-                    continue
-                s = sq.row(j)[p - 1]
-                if used_syms >> s & 1:
-                    continue
-                out = search(ci + 1, used_rows | 1 << j, used_syms | 1 << s, acc + [s])
-                if out is not None:
-                    return out
-            return None
+    def search(ci, used_rows, used_syms, acc):
+        if ci == len(cols):
+            return acc
+        p = cols[ci]
+        for j in range(1, k):
+            if j == p or used_rows >> j & 1:
+                continue
+            s = sq.row(j)[p - 1]
+            if used_syms >> s & 1:
+                continue
+            out = search(ci + 1, used_rows | 1 << j, used_syms | 1 << s, acc + [s])
+            if out is not None:
+                return out
+        return None
 
-        ys = search(0, 0, 0, [])
-        if ys is None:
-            raise ConstructionDefectError(f"order {k} square admits no distinct-symbol transversal")
+    ys = search(0, 0, 0, [])
+    if ys is None:
+        raise ConstructionDefectError(f"order {k} square admits no distinct-symbol transversal")
     (x,) = set(range(1, k + 1)) - set(ys)
     return x, ys
 

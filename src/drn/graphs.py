@@ -284,7 +284,7 @@ def clique_number(g: Graph) -> int:
     order = degree_order(g)
     best = 0
 
-    def color_bound(cand: int, verts: list[int]) -> list[tuple[int, int]]:
+    def color_bound(verts: list[int]) -> list[tuple[int, int]]:
         # greedy coloring; (vertex, color) pairs in non-decreasing color order,
         # which the branch pruning below relies on
         classes: list[int] = []
@@ -306,7 +306,7 @@ def clique_number(g: Graph) -> int:
             best = max(best, size)
             return
         verts = [v for v in order if cand >> v & 1]
-        colored = color_bound(cand, verts)
+        colored = color_bound(verts)
         # explore highest color first: stronger pruning
         for v, c in reversed(colored):
             if size + c <= best:

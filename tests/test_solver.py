@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
@@ -22,7 +23,6 @@ from drn.solver import (
     BudgetExhaustedError,
     WidthCapError,
     _agreement,
-    _class_representatives,
     _conjugator,
     _masks,
     _representative_stabiliser,
@@ -33,7 +33,9 @@ from drn.solver import (
 )
 from reference import (
     brute_force_oracle,
+    class_representatives,
     compose,
+    cycle_type,
     disagree_everywhere,
     embeds_induced,
     induced,
@@ -136,7 +138,7 @@ WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 764, 471, 716)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 806, 471, 716)
 
 
 def test_c17_width5_refutation_node_count():
@@ -144,23 +146,23 @@ def test_c17_width5_refutation_node_count():
     # vertices the checks close nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (638, 447, 208, 261)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (638, 489, 208, 261)
 
 
 def test_p16_width5_refutation_node_count():
     # with P15 at width 5 (above), the longest induced path of the width-5 graph has 15 vertices
     verdict, witness, stats = is_k_representable(G("P16"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (3137, 377, 1144, 1272)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (3137, 419, 1144, 1272)
 
 
 def test_k7_width6_refutation_node_count():
     # v2 is adjacent to v1, so it runs through the four derangement classes
-    # of S_6 and B2 grows three times: the pair-ban masks made under a
+    # of S_6 and B2 grows four times: the pair-ban masks made under a
     # smaller B2 must be dropped, or the type rule bars fewer candidates
     verdict, witness, stats = is_k_representable(G("K7"), 6)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (104, 558, 51, 28)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (104, 819, 51, 28)
 
 
 @pytest.mark.slow
@@ -178,27 +180,51 @@ def test_p22_width6_decision_node_count():
     assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (91474, 168, 41648, 17894)
 
 
-def test_class_representatives_are_least_in_their_class():
-    for k in range(1, 9):
-        least = {}
-        for p in all_perms(k):
-            t = tuple(sorted(map(len, cycles(p))))
-            least.setdefault(t, p)  # all_perms is in lexicographic order
-        assert _class_representatives(k) == sorted(least.values()), k
+def test_second_vertex_tries_one_image_per_class(monkeypatch):
+    # v2 is adjacent to v1 in each case, so it may take every derangement:
+    # it tries the least one of each class, in ascending rank, and the type
+    # rule on (v1, v2) skips the rest of each class it refutes
+    propagate = solver._propagate
+    v2_skips: list[int] = []
+
+    class Recorded(solver.SearchStats):
+        def __setattr__(self, name, value):
+            # a skip made in the second vertex's frame, where only v1 is assigned
+            if name == "skips" and sys._getframe(1).f_locals.get("done") == 1:
+                v2_skips.append(value - self.skips)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(solver, "SearchStats", Recorded)
+    for spec, k in (("C15", 5), ("K7", 6), ("C13", 4)):
+        g, tried = G(spec), []
+        full = (1 << factorial(k)) - 1
+
+        def recording(classes, adj, row, non, n):
+            if n == g.n - 2:  # the assignment of v2
+                tried.append((full ^ (row | non)).bit_length() - 1)
+            return propagate(classes, adj, row, non, n)
+
+        monkeypatch.setattr(solver, "_propagate", recording)
+        v2_skips.clear()
+        assert is_k_representable(g, k)[0] == "no"
+        members: dict[tuple[int, ...], list[int]] = {}
+        for r, p in enumerate(all_perms(k)):
+            if all(x != i for i, x in enumerate(p, 1)):
+                members.setdefault(cycle_type(p), []).append(r)
+        assert tried == sorted(ranks[0] for ranks in members.values()), spec
+        assert v2_skips == [len(members[cycle_type(unrank_perm(r, k))]) - 1 for r in tried], spec
+        if spec == "C15":  # the classes (2, 3) and (5) of S_5
+            assert v2_skips == [19, 23]
 
 
 def test_unbanned_ranks_are_the_other_labels():
     # s stays a candidate beside rank r iff r^-1 o s is in none of the banned classes
-    def cycle_type(p):
-        return sorted(map(len, cycles(p)))
-
     for k in range(2, 6):
-        reps = _class_representatives(k)
-        for banned in ((reps[1],), (reps[-1], reps[-2])):
-            types = [cycle_type(rho) for rho in banned]
+        types = [cycle_type(rho) for rho in class_representatives(k)]
+        for banned in ((types[1],), (types[-1], types[-2])):
             for r in range(factorial(k)):
                 r_inv = inverse(unrank_perm(r, k))
-                want = [s for s, q in enumerate(all_perms(k)) if cycle_type(compose(r_inv, q)) not in types]
+                want = [s for s, q in enumerate(all_perms(k)) if cycle_type(compose(r_inv, q)) not in banned]
                 assert _set_bits(_unbanned(k, r, banned)) == want, (k, r, banned)
 
 
@@ -213,7 +239,7 @@ def _apply(h, p):
 def test_representative_stabiliser_is_the_stabiliser_in_h():
     # G_2 = {h in H : h(rho) = rho}, against a scan of S_k, as (a, inverted) pairs
     for k in range(1, 6):
-        for rho in _class_representatives(k):
+        for rho in class_representatives(k):
             rho_inv = inverse(rho)
             expected = set()
             for a in all_perms(k):
@@ -231,7 +257,7 @@ def test_stabiliser_acts_as_automorphisms():
     # the sampled elements of G_2 preserve cellwise disagreement and its negation
     rng = random.Random(5)
     for k in (4, 5, 8):
-        for rho in rng.sample(_class_representatives(k)[1:], 3):
+        for rho in rng.sample(class_representatives(k)[1:], 3):
             group = rng.sample(_representative_stabiliser(rho), 6) if k == 8 else _representative_stabiliser(rho)
             sample = [unrank_perm(r, k) for r in rng.sample(range(factorial(k)), 12)]
             images = [[_apply(h, p) for h in group] for p in sample]
@@ -243,8 +269,7 @@ def test_stabiliser_acts_as_automorphisms():
 
 def _unreduced_search(g, k):
     """Reference decision: bitset DFS over vertices 0..n-1 on the scanned
-    position masks, with no pinning, no class representatives and no orbit
-    pruning."""
+    position masks, with no pinning, no type rule and no orbit pruning."""
     full, masks = (1 << factorial(k)) - 1, position_masks(k)
 
     def agreeing(r):
@@ -323,13 +348,14 @@ def _rule_corpus():
 @pytest.mark.slow
 def test_symmetry_rules_keep_every_verdict_and_witness(monkeypatch):
     # the orbit and type rules only skip candidates of the vertex branched
-    # on: against the same search with both off (G_2 trivial, O2 and O3 cut
-    # down to the base tuple), every verdict and witness is identical
+    # on: against the same search with both off (G_2 trivial, O2 empty and
+    # O3 cut down to the base tuple), which pins only v1, every verdict and
+    # witness is identical
     cases = [(g, k) for g in nonisomorphic_graphs(6) for k in range(1, 6)] + _rule_corpus()
     reduced = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "_representative_stabiliser",
                         lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
-    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset({(min(u, v), max(u, v))}))
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset())
     monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
     for (g, k), (verdict, witness, stats) in zip(cases, reduced):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
@@ -340,8 +366,8 @@ def test_symmetry_rules_keep_every_verdict_and_witness(monkeypatch):
 
 def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
     # the type rule on pairs: against the same search with O2 cut down to
-    # {v1, v2}, where it bars nothing, the verdict and the witness are
-    # identical
+    # {v1, v2}, where it bars only the rest of each class refuted at v2, the
+    # verdict and the witness are identical
     cases = _rule_corpus()
     banned = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset({(min(u, v), max(u, v))}))
@@ -572,7 +598,7 @@ def test_degree_check_gate_admits_a_class_at_the_slack():
     # five candidates, n + DEGREE_SLACK, so the gate must admit equality
     verdict, _, stats = is_k_representable(G("g6:E_??"), 4)
     assert verdict == "no"
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (6, 18, 0, 3)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (6, 25, 0, 3)
 
 
 def test_degree_check_keeps_its_counts_when_the_rows_are_dropped(monkeypatch):
@@ -580,7 +606,7 @@ def test_degree_check_keeps_its_counts_when_the_rows_are_dropped(monkeypatch):
     # changes no count
     monkeypatch.setattr(solver, "AGREE_MEMO_CAP", 3)
     stats = is_k_representable(G("C15"), 5)[2]
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 764, 471, 716)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 806, 471, 716)
 
 
 def _check_degree_closings(cases, monkeypatch) -> int:
@@ -653,8 +679,7 @@ def test_degree_check_is_lazy(monkeypatch):
 
 def test_conjugator_conjugates_within_a_class():
     for k in range(1, 6):
-        reps = _class_representatives(k)
-        for rho in reps:
+        for rho in class_representatives(k):
             for beta in all_perms(k):
                 t = _conjugator(rho, beta)
                 if t is None:

@@ -1,6 +1,7 @@
 """Checks on the package's source: no top-level function or class of
-``src/drn``, no public method of its classes and no name imported into its
-modules is dead there, so no library code is used only by the tests."""
+``src/drn``, no public method of its classes, no name imported into its
+modules and no parameter of its functions is dead there, so no library code
+is used only by the tests."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,23 @@ def unused_imports(src: Path) -> set[tuple[str, str]]:
     return found
 
 
+def unread_parameters(src: Path) -> set[tuple[str, str, str]]:
+    """The (module, function, parameter) of each parameter of a function or
+    method of ``src``, nested ones included, that its body never reads as a
+    bare name (a nested function's read counts for its enclosing one)."""
+    found = set()
+    for mod, tree in parse(src).items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found |= {(mod, fn.name, name) for name in params if name not in read}
+    return found
+
+
 def test_every_definition_is_used_by_the_package():
     assert unreferenced(SRC) == set()
 
@@ -86,3 +104,7 @@ def test_every_public_method_is_used_by_the_package():
 
 def test_every_import_is_used_by_its_module():
     assert unused_imports(SRC) == set()
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters(SRC) == set()
