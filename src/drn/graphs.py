@@ -63,7 +63,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, u: int) -> int:
-        return bin(self.adj[u]).count("1")
+        return self.adj[u].bit_count()
 
     @property
     def q(self) -> int:
@@ -383,25 +383,20 @@ def _automorphism(g: Graph, nbrs, a: list[int], b: list[int], steps: list[int]):
     return None
 
 
-def tuple_orbit(g: Graph, vs: tuple[int, ...],
-                automorphisms: list[list[int]] | None = None) -> frozenset[tuple[int, ...]]:
+def tuple_orbit(g: Graph, vs: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """The orbit of the ordered tuple ``vs`` of distinct vertices under the
     automorphisms of g.
 
-    ``automorphisms`` holds automorphisms of g found by earlier calls (each
-    phi with phi[v] the image of v); the orbit is first closed under them,
-    and each one this call finds is appended, so calls on one graph can share
-    the list.  Candidate images are built vertex by vertex: the i-th vertex
-    has the refined colour of vs[i] and is adjacent to each earlier one
-    exactly when vs[i] is to its counterpart.  For each candidate not yet
-    reached, the search looks for an automorphism mapping vs onto it by
-    colour refinement with individualisation (McKay and Piperno, J. Symb.
-    Comput. 60, 2014); each one found is checked edge by edge
-    (``is_automorphism``), and the orbit is closed under all of them.  So
-    every tuple returned is the image of vs under a verified automorphism.
-    The search spends at most ORBIT_REFINEMENT_CAP refinements in all; a
-    tuple it does not reach within them is left out, so the orbit may be
-    incomplete, never too large.
+    Candidate images are built vertex by vertex: the i-th vertex has the
+    refined colour of vs[i] and is adjacent to each earlier one exactly when
+    vs[i] is to its counterpart.  For each candidate not yet reached, the
+    search looks for an automorphism mapping vs onto it by colour refinement
+    with individualisation (McKay and Piperno, J. Symb. Comput. 60, 2014);
+    each one found is checked edge by edge (``is_automorphism``), and the
+    orbit is closed under all of them.  So every tuple returned is the image
+    of vs under a verified automorphism.  The search spends at most
+    ORBIT_REFINEMENT_CAP refinements in all; a tuple it does not reach within
+    them is left out, so the orbit may be incomplete, never too large.
     """
     n = g.n
     nbrs = [[w for w in range(n) if g.adj[x] >> w & 1] for x in range(n)]
@@ -424,7 +419,7 @@ def tuple_orbit(g: Graph, vs: tuple[int, ...],
             yield from candidates(prefix + (low.bit_length() - 1,))
 
     orbit: set[tuple[int, ...]] = set()
-    found = [] if automorphisms is None else automorphisms
+    found: list[list[int]] = []  # the automorphisms found, phi[v] the image of v
 
     def close(frontier: list[tuple[int, ...]]):
         """Add the tuples of ``frontier`` and their images under ``found``."""
@@ -453,12 +448,11 @@ def tuple_orbit(g: Graph, vs: tuple[int, ...],
     return frozenset(orbit)
 
 
-def pair_orbit(g: Graph, u: int, v: int,
-               automorphisms: list[list[int]] | None = None) -> frozenset[tuple[int, int]]:
+def pair_orbit(g: Graph, u: int, v: int) -> frozenset[tuple[int, int]]:
     """The orbit of the vertex pair {u, v} (u != v) under the automorphisms of
     g, as (smaller, larger) pairs: the unordered projection of the orbit of
-    (u, v) (``tuple_orbit``, which shares ``automorphisms``)."""
-    return frozenset((min(x, y), max(x, y)) for x, y in tuple_orbit(g, (u, v), automorphisms))
+    (u, v) (``tuple_orbit``)."""
+    return frozenset((min(x, y), max(x, y)) for x, y in tuple_orbit(g, (u, v)))
 
 
 # Clique decompositions ---------------------------------------------------

@@ -32,72 +32,55 @@ that close nodes, the distinct-images and degree-fit checks (after them):
   such a completion to one with u = r, keeping the assigned images.  So when
   u = r fails (its propagation empties a candidate set, or its subtree
   returns "no"), the whole orbit {g(r) : g in G_d-1} is dropped from u's
-  remaining candidates.  The rule runs from the fourth vertex on: at the
-  second the type rule on (v1, v2) drops each refuted class, an H-orbit,
-  and at the third the type rule on (v1, v2, v3) drops the same orbit.  G_2
-  is built from rho's cycles, and each G_d (from the nearest group built
-  above it) only when a failure at that depth leaves candidates, so a
-  search in which nothing fails does no group work.  Each G_d is kept as a
-  list of indices into G_2, and the search memoises, for as long as rho
-  stays, the rank of h(r) for each element h of G_2 and rank r it has met:
-  the stabiliser filter, the orbit rule's drop and B3's G_2-orbits all read
+  remaining candidates.  The rule runs from the third vertex on, whose
+  group is G_2; at the second the type rule on (v1, v2) drops each refuted class, an
+  H-orbit.  G_2 is built from rho's cycles, and each G_d (from the nearest
+  group built above it) only when a failure at that depth leaves
+  candidates, so a search in which nothing fails does no group work.  Each
+  G_d is kept as a list of indices into G_2, and the search memoises, for as
+  long as rho stays, the rank of h(r) for each element h of G_2 and rank r
+  it has met: the stabiliser filter and the orbit rule's drop both read
   that memo.
-* types on the orbits of the first pair and the first triple, a
-  lex-leader-style rule over the automorphisms of g (Gent, Petrie and
-  Puget, "Symmetry in constraint programming", Handbook of CP, 2006).  Let
-  A be the maps sigma -> a o sigma^e o b (a, b in S_k, e = +-1): left and
-  right translations (the second conjugates sigma^-1 o tau by b) and
-  inversion, each an automorphism of the Cayley graph.  The type of an
-  ordered vertex tuple (x_1, .., x_j) under a representation pi is the
-  A-orbit of (pi(x_1), .., pi(x_j)).  The elements of A fixing the identity
-  are H, and those also fixing rho are G_2.  So the type of a pair of images
-  (p, p') is the class of p^-1 o p' (translate, then conjugate; inversion
-  keeps the class), the same for (p', p).  A triple of images (p, p', c)
-  with beta = p^-1 o p' in rho's class has the normal form
-  t^-1 o p^-1 o c o t, for any t with t o rho o t^-1 = beta: A maps the
-  triple to (id, rho, that form), and two such triples have the same type
-  iff their normal forms lie in one G_2-orbit.  Let O2 be the orbit of
-  (v1, v2) under Aut(g), taken in both orders (``graphs.pair_orbit``), and
-  O3 that of (v1, v2, v3) (``graphs.tuple_orbit``); every automorphism
-  behind them is checked edge by edge, and an orbit left incomplete only
-  bars less.  For j = 2, 3, the j-th vertex runs through its candidates
-  r_1, r_2, ... with v1 .. vj-1 assigned (v1 = id, v2 = rho), and B_j,i is
-  the set of types of (v1, .., vj) with vj among r_1 .. r_i: the classes of
-  r_1 .. r_i for j = 2, the G_2-orbits of r_1 .. r_i, as normal forms, for
-  j = 3.  Claim: once r_1 .. r_i have all failed, no representation of g
-  gives a tuple of O_j a type in B_j,i.  By induction on i: let pi give xs
-  in O_j such a type; by the induction hypothesis it is the type of r_i.
-  Take phi in Aut(g) with phi(v1, .., vj) = xs and the element of A that
-  maps pi(xs) to the images of v1 .. vj-1 and r_i.  Composed with pi o phi
-  it gives a representation of g with vj = r_i that gives each tuple of O_j
-  the type pi gives its image under phi, which is in O_j, so no type in
-  B_j,i-1; like every representation, it obeys the claim for pairs too.  So
-  it is a completion of vj = r_i that obeys the bans in force there, and
-  that branch would have found it.  Hence a candidate c of the vertex z
-  being branched on is skipped, without spending a node, when some tuple xs
-  with xs + (z,) in O2 or O3 is assigned and xs + (c,) has a type in B2 or
-  B3 (the class test is ``_unbanned``, kept per assigned rank until B2
-  grows; the normal-form test the normalisers, kept while rho stays).  The
-  skips are made when z's frame opens, and at v_j again whenever B_j grows.
-  The base pair (v1, v2) is in O2, and with v1 = id the type of (v1, c) is
-  the class of c, so there the rule drops the class of each refuted
-  candidate of v2.  The ranks v2 may take beside the identity (the
-  derangements when it is adjacent to v1, else the rest minus the
+* types on the orbit of the first pair, a lex-leader-style rule over the
+  automorphisms of g (Gent, Petrie and Puget, "Symmetry in constraint
+  programming", Handbook of CP, 2006).  Let A be the maps
+  sigma -> a o sigma^e o b (a, b in S_k, e = +-1): left and right
+  translations (the second conjugates sigma^-1 o tau by b) and inversion,
+  each an automorphism of the Cayley graph.  The type of an ordered vertex
+  pair (x, y) under a representation pi is the A-orbit of (pi(x), pi(y)).
+  The elements of A fixing the identity are H, so the type of a pair of
+  images (p, p') is the class of p^-1 o p' (translate, then conjugate;
+  inversion keeps the class), the same for (p', p).  Let O2 be the orbit of
+  (v1, v2) under Aut(g), taken in both orders (``graphs.pair_orbit``);
+  every automorphism behind it is checked edge by edge, and an orbit left
+  incomplete only bars less.  The second vertex runs through its
+  candidates r_1, r_2, ... with v1 = id assigned, and B_i is the set of
+  types of (v1, v2) with v2 among r_1 .. r_i: the classes of r_1 .. r_i.
+  Claim: once r_1 .. r_i have all failed, no representation of g gives a
+  pair of O2 a type in B_i.  By induction on i: let pi give (x, y) in O2
+  such a type; by the induction hypothesis it is the type of r_i.  Take phi
+  in Aut(g) with phi(v1, v2) = (x, y) and the element of A that maps
+  (pi(x), pi(y)) to (id, r_i).  Composed with pi o phi it gives a
+  representation of g with v1 = id and v2 = r_i that gives each pair of O2
+  the type pi gives its image under phi, which is in O2, so no type in
+  B_i-1.  So it is a completion of v2 = r_i that obeys the bans in force
+  there, and that branch would have found it.  Hence a candidate c of the
+  vertex z being branched on is skipped, without spending a node, when
+  some assigned x has (x, z) in O2 and the class of pi(x)^-1 o c is in B,
+  the classes refuted so far (``_unbanned``, kept per assigned rank until B
+  grows).  The skips are made when z's frame opens, and at v2 again
+  whenever B grows.  The base pair (v1, v2) is in O2, and with v1 = id the
+  type of (v1, c) is the class of c, so there the rule drops the class of
+  each refuted candidate of v2.  The ranks v2 may take beside the identity
+  (the derangements when it is adjacent to v1, else the rest minus the
   identity) are whole classes, so once r_1 .. r_i have failed, the least
   rank left is the least element of its class: any smaller element of that
   class would still be a candidate.  So v2 tries one image per class, the
-  least, and skips the rest of each class it refutes.  For (v1, v2, v3)
-  itself the normal form of c is c, so there the rule drops the G_2-orbit
-  of each refuted candidate.  B2 lasts the whole
-  search; B3 lives in the current third-vertex frame, as in the frames of
-  later classes of v2 its bans are vacuous: each pair of images in it has
-  rho's class, which B2 then bars on O2.  An element of
-  G_d lies in A and fixes the assigned images, so it preserves types and
-  the bans, and the orbit rule holds with them.  O2 is computed when a
-  refutation at v2 first leaves candidates, and O3 when one at v3 does, so
-  a search in which nothing fails there does no automorphism work; O3
-  starts from the automorphisms found for O2 and searches only for tuples
-  they do not reach.
+  least, and skips the rest of each class it refutes.  B lasts the whole
+  search.  An element of G_d lies in A and fixes the assigned images, so it
+  preserves types and the bans, and the orbit rule holds with them.  O2 is
+  computed when a refutation at v2 first leaves candidates, so a search in
+  which nothing fails there does no automorphism work.
 
 The distinct-images check closes a node whose unassigned vertices cannot all
 get different images.  Every assigned image r lies outside every candidate
@@ -227,7 +210,7 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
-from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit, tuple_orbit
+from drn.graphs import Graph, degree_order, graph6_encode, pair_orbit
 from drn.matrices import RepresentationMatrix, verify
 from drn.perms import Perm, cycles, identity, inverse, rank_perm, unrank_perm
 
@@ -430,21 +413,6 @@ class Budget:
         return True
 
 
-@lru_cache(maxsize=AGREE_MEMO_CAP)
-def _conjugator(rho: Perm, beta: Perm) -> Perm | None:
-    """A permutation t with t o rho o t^-1 = beta, or None when beta is not
-    conjugate to rho: t maps each cycle of rho, point by point, onto a cycle
-    of beta of the same length."""
-    if _cycle_type(rho) != _cycle_type(beta):
-        return None
-    ours, theirs = sorted(cycles(rho), key=len), sorted(cycles(beta), key=len)
-    t = [0] * len(rho)
-    for cyc, image in zip(ours, theirs):
-        for x, y in zip(cyc, image):
-            t[x - 1] = y
-    return tuple(t)
-
-
 def _propagate(classes: list[tuple[int, int]], adj: int, row: int, non: int, n: int):
     """Propagate an assignment u = r to the n vertices left unassigned, in one
     pass.  ``classes`` group them as (members, candidate set); ``adj`` is u's
@@ -571,28 +539,18 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
     # the adjacency of each position, as a bitset of positions
     adjacent = [sum(1 << pos[w] for w in range(g.n) if g.adj[v] >> w & 1) for v in order]
     images = [0] * g.n  # the rank of each assigned position's image
-    # The type rule's state: B2, the refuted classes of the second vertex (by
-    # their cycle types), with the candidates each assigned rank leaves
-    # under them; B3, the refuted normal forms of the current third-vertex
-    # frame, with the second vertex's image rho there and the normaliser of
-    # each pair of image ranks; and the links: for each vertex z, each tuple
-    # xs with xs + (z,) in O2 or O3, with the bitset of xs (all as
-    # positions).  O2 joins the links when a refutation at the second vertex
-    # first leaves candidates; O3, of the third vertex ``linked``, when a
-    # refutation there first does, replacing the triples of an earlier third
-    # vertex.  Both orbits draw on one list of the automorphisms of g found
-    # so far.
+    # The type rule's state: B, the refuted classes of the second vertex (by
+    # their cycle types), with the candidates each assigned rank leaves under
+    # them, and the links: for each vertex z, the bitset of its partners in
+    # O2 (all as positions), filled when a refutation at the second vertex
+    # first leaves candidates.
     banned: tuple[tuple[int, ...], ...] = ()
     pair_bans: dict[int, int] = {}
-    refuted: set[Perm] = set()
+    links = [0] * g.n
+    # The orbit rule's state: the second vertex's image rho, and for it G_2,
+    # built on first use, and for each element h of G_2 (by index) the rank
+    # of h(r) for each rank r the stabilisers and orbits have asked for.
     rho: Perm = ()
-    normalisers: dict[tuple[int, int], tuple | None] = {}
-    links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(g.n)]
-    linked = -1
-    automorphisms: list[list[int]] = []
-    # The orbit rule's state, for the current rho: G_2, built on first use,
-    # and for each element h of G_2 (by index) the rank of h(r) for each rank
-    # r the stabilisers and orbits have asked for.
     group2: tuple | None = None
     action: list[dict[int, int]] = []
     # The degree-fit check's member degrees and agreement rows.
@@ -655,49 +613,19 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
             group = [i for i, s in zip(group, images_of(r, group)) if s == r]
         return group
 
-    def normaliser(rx: int, ry: int):
-        """For the images p and p' of ranks rx and ry: None when
-        beta = p^-1 o p' is not in rho's class, else (lut, t0) such that the
-        normal form t^-1 o p^-1 o c o t of a candidate c, with
-        t o rho o t^-1 = beta, is tuple([lut[c[j]] for j in t0])."""
-        p_inv = _perm_inverse(k, rx)
-        t = _conjugator(rho, tuple([p_inv[v - 1] for v in _perm(k, ry)]))
-        if t is None:
-            return None
-        t_inv = inverse(t)
-        return tuple([0] + [t_inv[v - 1] for v in p_inv]), tuple([v - 1 for v in t])
-
     def type_rule(z: int, bits: int, done: int) -> int:
         """The type rule: the candidates in ``bits`` of the vertex z that give
-        no linked tuple xs + (z,) with xs assigned (in ``done``) a refuted
-        type; the others count as skips."""
-        allowed, forms = bits, []
-        for xs, both in links[z]:
-            if done & both != both:
-                continue
-            if len(xs) == 1:
-                rx = images[xs[0]]
-                mask = pair_bans.get(rx)
-                if mask is None:
-                    mask = pair_bans[rx] = _unbanned(k, rx, banned)
-                allowed &= mask
-            elif refuted:
-                key = images[xs[0]], images[xs[1]]
-                nf = normalisers.get(key, False)
-                if nf is False:
-                    nf = normalisers[key] = normaliser(*key)
-                if nf is not None:
-                    forms.append(nf)
-        if forms:
-            rest = allowed
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                c = _perm(k, low.bit_length() - 1)
-                for lut, t0 in forms:
-                    if tuple([lut[c[j]] for j in t0]) in refuted:
-                        allowed ^= low
-                        break
+        no pair (x, z) of O2 with x assigned (in ``done``) a refuted type;
+        the others count as skips."""
+        allowed, rest = bits, links[z] & done
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rx = images[low.bit_length() - 1]
+            mask = pair_bans.get(rx)
+            if mask is None:
+                mask = pair_bans[rx] = _unbanned(k, rx, banned)
+            allowed &= mask
         stats.skips += (bits ^ allowed).bit_count()
         return allowed
 
@@ -708,12 +636,11 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
         The stabiliser G of the images assigned so far is the set of elements
         of ``group`` that fix the ranks ``fixed`` (``stabiliser``); it is
         built only when a failure leaves candidates."""
-        nonlocal banned, refuted, rho, normalisers, linked, group2
-        if done == third:  # a new third-vertex frame, and a new rho: B3 starts empty
-            refuted, rho = set(), _perm(k, images[v2])
-            normalisers, group2 = {}, None
+        nonlocal banned, rho, group2
+        if done == third:  # a new third-vertex frame, and a new rho: G_2 is rebuilt on use
+            rho, group2 = _perm(k, images[v2]), None
         n = g.n - 1 - done.bit_count()  # the vertices left once u is assigned
-        if links[u]:
+        if links[u] & done:
             bits = type_rule(u, bits, done)
         while bits:
             low = bits & -bits
@@ -731,29 +658,18 @@ def _search(g: Graph, k: int, budget: Budget, stats: SearchStats) -> tuple[str, 
                     return sub
             if not bits:
                 break
-            if done == second:  # the type rule: B2 gains r's class
+            if done == second:  # the type rule: B gains r's class
                 if not banned:
-                    for x, y in pair_orbit(g, order[0], order[u], automorphisms):
-                        x, y = pos[x], pos[y]
-                        links[x].append(((y,), 1 << y))
-                        links[y].append(((x,), 1 << x))
+                    for x, y in pair_orbit(g, order[0], order[u]):
+                        links[pos[x]] |= 1 << pos[y]
+                        links[pos[y]] |= 1 << pos[x]
                 banned += (_cycle_type(_perm(k, r)),)
                 pair_bans.clear()
                 bits = type_rule(u, bits, done)
                 continue
             if fixed:
                 group, fixed = stabiliser(group, fixed), ()
-            if done == third:  # the type rule: B3 gains the G_2-orbit of r
-                if linked != u:
-                    for z in range(g.n):
-                        links[z] = [link for link in links[z] if len(link[0]) == 1]
-                    for x, y, z in tuple_orbit(g, (order[0], order[v2], order[u]), automorphisms):
-                        x, y, z = pos[x], pos[y], pos[z]
-                        links[z].append(((x, y), 1 << x | 1 << y))
-                    linked = u
-                refuted.update(_perm(k, s) for s in images_of(r, group))
-                bits = type_rule(u, bits, done)
-            elif len(group) > 1:  # the orbit rule (fourth vertex on): u = h(r) fails too, for h in G
+            if len(group) > 1:  # the orbit rule (third vertex on): u = h(r) fails too, for h in G
                 drop = 0
                 for s in images_of(r, group):
                     drop |= 1 << s
@@ -781,9 +697,11 @@ def is_k_representable(
     ("unknown", None) when the budget ran out.  ``stats.nodes`` counts the
     nodes this call spent; ``None`` stands for a fresh default ``Budget``.
 
-    A "no" is an exhaustive refutation under the three symmetry reductions and
-    the distinct-images and degree-fit checks in the module docstring.  None
-    of them narrows another vertex's candidate set, so a "yes" returns the
+    A "no" is an exhaustive refutation under the three symmetry reductions
+    (the first vertex pinned to the identity, the orbit rule from the third
+    vertex on and the type rule on the orbit O2 of the first pair) and the
+    distinct-images and degree-fit checks in the module docstring.  None of
+    them narrows another vertex's candidate set, so a "yes" returns the
     witness of the same search with the orbit rule, the type rule and the
     checks off.  ``stats.skips`` counts the candidates the orbit and type
     rules dropped without spending a node, ``stats.hall_closed`` the nodes the

@@ -147,6 +147,12 @@ def test_solve_budget_exit_4(capsys):
     assert code == 4 and "after 0 nodes" in err and out == ""
 
 
+def test_solve_max_k_exit_4(capsys):
+    # K3,3 needs width 5: width 4 is refuted, and width 5 lies above --max-k
+    code, out, err = run(capsys, "solve", "K3,3", "--max-k", "4")
+    assert code == 4 and out == "" and "widths [4] refuted, stopped at max-k 4" in err
+
+
 def test_budget_bounds_the_whole_command(capsys):
     # node totals: K3,3 spends 6 nodes at width 4 and 5 at width 5; cycles
     # 9..12 spend 65 over all their widths; the 34 order-5 graphs 142 at width 4
@@ -176,9 +182,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 
 def test_solve_c15_node_limit_counts_every_width(capsys):
-    # width 5 is refuted in exactly 1,863 nodes, so width 6 gets none
-    code, out, err = run(capsys, "solve", "C15", "--node-limit", "1863")
-    assert code == 4 and "at width 6 after 0 nodes (1863 in all)" in err and out == ""
+    # width 5 is refuted in exactly 3,379 nodes, so width 6 gets none
+    code, out, err = run(capsys, "solve", "C15", "--node-limit", "3379")
+    assert code == 4 and "at width 6 after 0 nodes (3379 in all)" in err and out == ""
 
 
 def test_solve_g6_and_file_inputs(tmp_path, capsys):

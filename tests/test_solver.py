@@ -13,7 +13,6 @@ from drn.latin import distinct_representatives
 from drn.matrices import verify
 from drn.perms import (
     all_perms,
-    cycles,
     inverse,
     rank_perm,
     unrank_perm,
@@ -23,7 +22,6 @@ from drn.solver import (
     BudgetExhaustedError,
     WidthCapError,
     _agreement,
-    _conjugator,
     _masks,
     _representative_stabiliser,
     _unbanned,
@@ -118,7 +116,7 @@ def test_agreement_masks_match_disagreement_relation():
 
 
 @pytest.mark.parametrize("spec,k,nodes", [
-    ("C16", 5, 253),
+    ("C16", 5, 256),
     ("C16", 7, 15),
     ("C16", 8, 15),
     ("K4,6", 8, 9),
@@ -138,7 +136,7 @@ WIDE_CALLS = (("P3", 5), ("P3", 6), ("P3", 8), ("C16", 8), ("K4,6", 8))
 def test_c15_width5_refutation_node_count():
     verdict, witness, stats = is_k_representable(G("C15"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 806, 471, 716)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (3379, 594, 912, 1330)
 
 
 def test_c17_width5_refutation_node_count():
@@ -146,7 +144,7 @@ def test_c17_width5_refutation_node_count():
     # vertices the checks close nodes sooner than in C15
     verdict, witness, stats = is_k_representable(G("C17"), 5)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (638, 489, 208, 261)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1012, 427, 337, 439)
 
 
 def test_p16_width5_refutation_node_count():
@@ -158,11 +156,11 @@ def test_p16_width5_refutation_node_count():
 
 def test_k7_width6_refutation_node_count():
     # v2 is adjacent to v1, so it runs through the four derangement classes
-    # of S_6 and B2 grows four times: the pair-ban masks made under a
-    # smaller B2 must be dropped, or the type rule bars fewer candidates
+    # of S_6 and B grows four times: the pair-ban masks made under a
+    # smaller B must be dropped, or the type rule bars fewer candidates
     verdict, witness, stats = is_k_representable(G("K7"), 6)
     assert verdict == "no" and witness is None
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (104, 819, 51, 28)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (211, 857, 122, 54)
 
 
 @pytest.mark.slow
@@ -215,6 +213,49 @@ def test_second_vertex_tries_one_image_per_class(monkeypatch):
         assert v2_skips == [len(members[cycle_type(unrank_perm(r, k))]) - 1 for r in tried], spec
         if spec == "C15":  # the classes (2, 3) and (5) of S_5
             assert v2_skips == [19, 23]
+
+
+def test_third_vertex_skips_the_orbit_of_each_refuted_image(monkeypatch):
+    # in the third vertex's frame (v1 = id, v2 = rho) the orbit rule drops,
+    # after each refuted image r, exactly the candidates left in r's orbit
+    # under G_2 = {h in H : h(rho) = rho}, here scanned over S_k
+    propagate = solver._propagate
+    drops: list[tuple[int, int, int, int]] = []  # (rho, r, candidates left, dropped)
+
+    class Recorded(solver.SearchStats):
+        def __setattr__(self, name, value):
+            caller = sys._getframe(1)
+            local = caller.f_locals
+            if name == "skips" and caller.f_code.co_name == "dfs" and local["done"].bit_count() == 2:
+                drops.append((rho_rank[0], local["r"], local["bits"], local["drop"]))
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(solver, "SearchStats", Recorded)
+    for spec, k in (("C15", 5), ("K7", 6)):
+        g, perms, rho_rank = G(spec), all_perms(k), [0]
+        full = (1 << factorial(k)) - 1
+
+        def recording(classes, adj, row, non, n):
+            if n == g.n - 2:  # the assignment of v2: a new rho
+                rho_rank[0] = (full ^ (row | non)).bit_length() - 1
+            return propagate(classes, adj, row, non, n)
+
+        monkeypatch.setattr(solver, "_propagate", recording)
+        drops.clear()
+        assert is_k_representable(g, k)[0] == "no"
+        stabilisers = {}
+        for rho, r, left, dropped in drops:
+            if rho not in stabilisers:
+                p = perms[rho]
+                stabilisers[rho] = [(a, inverted) for a in perms for inverted in (False, True)
+                                    if compose(a, compose(inverse(p) if inverted else p, inverse(a))) == p]
+            q = perms[r]
+            orbit = 0
+            for a, inverted in stabilisers[rho]:
+                orbit |= 1 << rank_perm(compose(a, compose(inverse(q) if inverted else q, inverse(a))))
+            assert dropped == orbit & left, (spec, rho, r)
+        assert sum(dropped.bit_count() for *_, dropped in drops) > 0, spec
+        assert len({rho for rho, *_ in drops}) > 1, spec  # G_2 is rebuilt for each new rho
 
 
 def test_unbanned_ranks_are_the_other_labels():
@@ -348,15 +389,13 @@ def _rule_corpus():
 @pytest.mark.slow
 def test_symmetry_rules_keep_every_verdict_and_witness(monkeypatch):
     # the orbit and type rules only skip candidates of the vertex branched
-    # on: against the same search with both off (G_2 trivial, O2 empty and
-    # O3 cut down to the base tuple), which pins only v1, every verdict and
-    # witness is identical
+    # on: against the same search with both off (G_2 trivial and O2 empty),
+    # which pins only v1, every verdict and witness is identical
     cases = [(g, k) for g in nonisomorphic_graphs(6) for k in range(1, 6)] + _rule_corpus()
     reduced = [is_k_representable(g, k) for g, k in cases]
     monkeypatch.setattr(solver, "_representative_stabiliser",
                         lambda rho: [solver._element(list(range(len(rho) + 1)), False)])
-    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset())
-    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset())
     for (g, k), (verdict, witness, stats) in zip(cases, reduced):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -370,7 +409,7 @@ def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
     # verdict and the witness are identical
     cases = _rule_corpus()
     banned = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v, found: frozenset({(min(u, v), max(u, v))}))
+    monkeypatch.setattr(solver, "pair_orbit", lambda g, u, v: frozenset({(min(u, v), max(u, v))}))
     for (g, k), (verdict, witness, stats) in zip(cases, banned):
         plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
         assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
@@ -381,7 +420,7 @@ def test_label_rule_keeps_every_verdict_and_witness(monkeypatch):
 
 def test_label_rule_is_lazy(monkeypatch):
     # searches whose first class of the second vertex succeeds compute no orbit
-    def refuse(g, u, v, found):
+    def refuse(g, u, v):
         raise AssertionError("pair_orbit called")
 
     monkeypatch.setattr(solver, "pair_orbit", refuse)
@@ -389,32 +428,17 @@ def test_label_rule_is_lazy(monkeypatch):
         assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
 
 
-def test_triple_rule_keeps_every_verdict_and_witness(monkeypatch):
-    # the type rule on triples: against the same search with O3 cut down to
-    # (v1, v2, v3), where it bars only the G_2-orbits of the refuted
-    # candidates of v3 itself, the verdict and the witness are identical
-    cases = _rule_corpus()
-    barred = [is_k_representable(g, k) for g, k in cases]
-    monkeypatch.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
-    for (g, k), (verdict, witness, stats) in zip(cases, barred):
-        plain_verdict, plain_witness, plain_stats = is_k_representable(g, k)
-        assert (verdict, witness) == (plain_verdict, plain_witness), (g, k)
-        assert stats.nodes <= plain_stats.nodes
-        if (g, k) == (G("C15"), 5):
-            assert stats.nodes < plain_stats.nodes
-
-
-# Every order <= 6 case, at widths 3..5, in which the type rule on triples
-# skips a candidate that the other reductions would have tried: the one of
-# order 5, one of order 6, and the rest of order 6.
+# Every order <= 6 case, at widths 3..5, in which a type rule on triples
+# (the Aut(g)-orbit of (v1, v2, v3)) skipped a candidate that the other
+# reductions would have tried: the one of order 5, one of order 6, and the
+# rest of order 6.  Without that rule each takes one or two more nodes.
 TRIPLE_RULE_CASES = [("D~w", 5), ("E_??", 4)]
 TRIPLE_RULE_CASES_ORDER_SIX = [
     ("EK??", 4), ("E}a?", 4), ("E~w?", 5), ("EVz?", 4), ("E~z?", 5), ("E~z_", 5),
     ("E~v_", 5), ("E~~_", 5), ("E}~o", 5), ("E~~o", 5), ("E~~w", 5),
 ]
-# Cases in which the rule fired before the distinct-images check (the first
-# two lines) or the degree-fit check (the last), which now close those nodes
-# first; they stay in the verdict differential.
+# Cases in which that rule fired before the distinct-images check (the first
+# two lines) or the degree-fit check (the last) closed those nodes first.
 TRIPLE_RULE_FORMER_CASES = [
     ("E}r?", 4), ("Exr?", 4), ("E~r?", 4), ("E~z?", 4), ("E~N?", 4), ("E~~?", 4),
     ("E~v_", 4), ("E}~o", 4),
@@ -422,38 +446,19 @@ TRIPLE_RULE_FORMER_CASES = [
 ]
 
 
-def _check_triple_rule_cases(cases, monkeypatch, fires=True):
-    plain = {}
-    with monkeypatch.context() as m:
-        m.setattr(solver, "tuple_orbit", lambda g, vs, found: frozenset({tuple(vs)}))
-        for g6, k in cases:
-            plain[g6, k] = is_k_representable(G(f"g6:{g6}"), k)[2].nodes
+def _check_against_unreduced(cases):
     for g6, k in cases:
         g = G(f"g6:{g6}")
-        verdict, _, stats = is_k_representable(g, k)
-        assert (stats.nodes < plain[g6, k]) == fires, (g6, k)  # whether the rule fires here
-        assert (verdict == "yes") == _unreduced_search(g, k), (g6, k)
+        assert (is_k_representable(g, k)[0] == "yes") == _unreduced_search(g, k), (g6, k)
 
 
-def test_differential_triple_rule_cases(monkeypatch):
-    _check_triple_rule_cases(TRIPLE_RULE_CASES, monkeypatch)
+def test_differential_triple_rule_cases():
+    _check_against_unreduced(TRIPLE_RULE_CASES)
 
 
 @pytest.mark.slow
-def test_differential_triple_rule_cases_order_six(monkeypatch):
-    _check_triple_rule_cases(TRIPLE_RULE_CASES_ORDER_SIX, monkeypatch)
-    _check_triple_rule_cases(TRIPLE_RULE_FORMER_CASES, monkeypatch, fires=False)
-
-
-def test_triple_rule_is_lazy(monkeypatch):
-    # searches in which no refutation of the third vertex leaves candidates
-    # compute no triple orbit
-    def refuse(g, vs, found):
-        raise AssertionError("tuple_orbit called")
-
-    monkeypatch.setattr(solver, "tuple_orbit", refuse)
-    for spec, k in WIDE_CALLS:
-        assert is_k_representable(G(spec), k)[0] == "yes", (spec, k)
+def test_differential_triple_rule_cases_order_six():
+    _check_against_unreduced(TRIPLE_RULE_CASES_ORDER_SIX + TRIPLE_RULE_FORMER_CASES)
 
 
 def test_skip_counter_repeats():
@@ -531,7 +536,7 @@ def test_class_test_is_hall_on_disjoint_class_sets(monkeypatch):
         stats = is_k_representable(g, k)[2]
         closed += stats.hall_closed
         if (g, k) == (G("C15"), 5):
-            assert stats.hall_closed == 471
+            assert stats.hall_closed == 912
     assert closed == results.count(True) > 0 and False in results
 
 
@@ -598,7 +603,7 @@ def test_degree_check_gate_admits_a_class_at_the_slack():
     # five candidates, n + DEGREE_SLACK, so the gate must admit equality
     verdict, _, stats = is_k_representable(G("g6:E_??"), 4)
     assert verdict == "no"
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (6, 25, 0, 3)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (7, 24, 0, 4)
 
 
 def test_degree_check_keeps_its_counts_when_the_rows_are_dropped(monkeypatch):
@@ -606,7 +611,7 @@ def test_degree_check_keeps_its_counts_when_the_rows_are_dropped(monkeypatch):
     # changes no count
     monkeypatch.setattr(solver, "AGREE_MEMO_CAP", 3)
     stats = is_k_representable(G("C15"), 5)[2]
-    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (1863, 806, 471, 716)
+    assert (stats.nodes, stats.skips, stats.hall_closed, stats.degree_closed) == (3379, 594, 912, 1330)
 
 
 def _check_degree_closings(cases, monkeypatch) -> int:
@@ -637,13 +642,13 @@ def test_degree_closings_have_no_embedding(monkeypatch):
     # the check is sound: g[M] has no induced copy in the Cayley graph on S
     # at any class it closes a node on
     cases = [(g, k) for n in range(1, 6) for g in nonisomorphic_graphs(n) for k in range(1, 6)]
-    assert _check_degree_closings(cases, monkeypatch) == 27
+    assert _check_degree_closings(cases, monkeypatch) == 28
 
 
 @pytest.mark.slow
 def test_degree_closings_have_no_embedding_order_six(monkeypatch):
     cases = [(g, k) for g in nonisomorphic_graphs(6) for k in range(1, 6)]
-    assert _check_degree_closings(cases, monkeypatch) == 109
+    assert _check_degree_closings(cases, monkeypatch) == 117
 
 
 def test_degree_check_keeps_every_verdict_and_witness(monkeypatch):
@@ -675,17 +680,6 @@ def test_degree_check_is_lazy(monkeypatch):
     for spec, k in WIDE_CALLS:
         verdict, _, stats = is_k_representable(G(spec), k)
         assert (verdict, stats.degree_closed) == ("yes", 0), (spec, k)
-
-
-def test_conjugator_conjugates_within_a_class():
-    for k in range(1, 6):
-        for rho in class_representatives(k):
-            for beta in all_perms(k):
-                t = _conjugator(rho, beta)
-                if t is None:
-                    assert sorted(map(len, cycles(beta))) != sorted(map(len, cycles(rho)))
-                else:
-                    assert compose(t, compose(rho, inverse(t))) == beta, (rho, beta)
 
 
 def test_differential_order_six_hypothesis():
